@@ -41,7 +41,6 @@ from esrc.runner import (
     run_sweep,
 )
 from esrc.specfun import (
-    LaplaceInversionConfig,
     LaplaceInversionError,
     NumericalError,
     exp_scaled_e1,
@@ -76,7 +75,6 @@ __all__ = [
     "FadingParams",
     "FitConvergenceError",
     "GammaFit",
-    "LaplaceInversionConfig",
     "LaplaceInversionError",
     "MonteCarloAbort",
     "NotPositiveSemidefiniteError",

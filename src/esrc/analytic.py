@@ -12,8 +12,8 @@ density itself.
 The density's right tail decays double-exponentially, so its transform
 is entire and grows super-exponentially into the left half-plane; the
 inversion therefore uses the Euler-summation method, which samples the
-transform only on a vertical line in the right half-plane (the
-fixed-Talbot contour dives left and diverges on this family).
+transform only on a vertical line in the right half-plane (contour
+methods such as fixed Talbot dive left and diverge on this family).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from scipy.integrate import quad
 
 from esrc.specfun import (
     LN2,
-    LaplaceInversionConfig,
     NumericalError,
     _log_tricomi_u1,
     exp_scaled_e1,
@@ -34,8 +33,6 @@ from esrc.specfun import (
 
 GRID_MAX_BITS = 64.0
 _TAIL_MASS = 1e-6
-
-_EULER_CFG = LaplaceInversionConfig(method="euler", node_count=56)
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ def default_capacity_grid(b, points=512):
     return np.linspace(0.0, upper, int(points) + 1)[1:]
 
 
-def capacity_pdf(b, grid, cfg=None):
+def capacity_pdf(b, grid):
     """Density of the sum capacity on `grid`, by numerical Laplace inversion."""
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
@@ -173,5 +170,4 @@ def capacity_pdf(b, grid, cfg=None):
             f"grid extends to {pts[-1]:.3g} bits, beyond the supported "
             f"{GRID_MAX_BITS:.0f}"
         )
-    config = cfg if cfg is not None else _EULER_CFG
-    return invert_laplace(_density_transform(b), pts, config=config)
+    return invert_laplace(_density_transform(b), pts)

@@ -9,7 +9,14 @@ import sys
 import numpy as np
 
 from esrc.analytic import GRID_MAX_BITS, BetaVector, capacity_pdf, default_capacity_grid
-from esrc.runner import ConfigError, emit_csv, parse_config, render_csv, run_sweep
+from esrc.runner import (
+    PRESET_NAMES,
+    ConfigError,
+    emit_csv,
+    parse_config,
+    render_csv,
+    run_sweep,
+)
 
 
 def _build_parser():
@@ -27,7 +34,7 @@ def _build_parser():
     run_p.add_argument("--config", required=True, help="path to the sweep configuration document")
     run_p.add_argument(
         "--preset",
-        choices=("fig1", "fig2", "fig3", "none"),
+        choices=PRESET_NAMES + ("none",),
         default=None,
         help="override the document's preset",
     )
@@ -43,12 +50,6 @@ def _build_parser():
         "--allow-extended",
         action="store_true",
         help="lift the rho bound from [0, 0.5] to [0, 1)",
-    )
-    run_p.add_argument(
-        "--strict-sequential",
-        action="store_true",
-        help="accepted for compatibility; points always run sequentially, "
-        "so output is deterministic either way",
     )
 
     pdf_p = sub.add_parser(

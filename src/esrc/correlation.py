@@ -13,6 +13,7 @@ an explicit eigenvalue check.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,24 +81,21 @@ def psd_check(matrix, tol=1e-12):
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             f"eigendecomposition failed for {arr.shape[0]}x{arr.shape[1]} matrix "
-            f"(fingerprint {hash(arr.tobytes()) & 0xFFFFFFFF:08x})"
+            f"(fingerprint {hashlib.blake2b(arr.tobytes(), digest_size=4).hexdigest()})"
         ) from exc
     min_eig = float(eigs[0])
     return PsdReport(min_eig=min_eig, is_psd=min_eig >= -tol)
 
 
-def matrix_sqrt(matrix, tol=1e-12, spec=None, clamp=False):
+def matrix_sqrt(matrix, tol=1e-12, spec=None):
     """Hermitian square root via eigendecomposition.
 
     Eigenvalues in [-tol, 0) are treated as rounding debris and clamped
-    to zero.  Anything below -tol raises NotPositiveSemidefiniteError
-    unless clamp=True, which zeroes every negative eigenvalue without
-    renormalizing the diagonal (dropping negative eigenvalues inflates
-    the trace; callers opt into that model change explicitly).
+    to zero.  Anything below -tol raises NotPositiveSemidefiniteError.
     """
     arr = np.asarray(matrix)
     report = psd_check(arr, tol=tol)
-    if not report.is_psd and not clamp:
+    if not report.is_psd:
         origin = f" for {spec!r}" if spec is not None else ""
         raise NotPositiveSemidefiniteError(
             f"matrix is not positive semidefinite{origin}: "

@@ -5,6 +5,10 @@ sweepable parameters (snr_db, rho, l_band, m, omega).  Points run in
 lexicographic order over that fixed parameter order, each with a seed
 derived by hashing the master seed together with the point's parameter
 values, so editing one axis never perturbs the other points' streams.
+
+Every value of a sweepable parameter, whether a document scalar, a preset
+default, a [sweep.*] entry or a SweepPlan axis value, is parsed and
+range-checked by its AXES entry; the figure presets are PRESETS data.
 """
 
 from __future__ import annotations
@@ -13,22 +17,21 @@ import hashlib
 import itertools
 import logging
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from esrc.analytic import BetaVector, esrc_closed_form
 from esrc.channel import FadingParams, SemiCorrelationMode
 from esrc.config import MAX_SEED, SystemConfig
-from esrc.correlation import CorrelationSpec
+from esrc.correlation import CorrelationSpec, NotPositiveSemidefiniteError
+from esrc.specfun import NumericalError
 from esrc.statfit import FitConvergenceError, fit_exponential, fit_gamma_ml
 from esrc.zf import MonteCarloAbort, monte_carlo_esrc
 
 log = logging.getLogger(__name__)
 
-AXIS_ORDER = ("snr_db", "rho", "l_band", "m", "omega")
-PRESET_NAMES = ("fig1", "fig2", "fig3")
 DEFAULT_TRIALS = 100_000
 
 CSV_HEADER = (
@@ -36,23 +39,142 @@ CSV_HEADER = (
     "esrc_analytic,rel_err,alpha_mean,gof_pass_rate,status"
 )
 
-_SCALAR_KEYS = (
-    "preset",
-    "n_t",
-    "n_r",
-    "snr_db",
-    "rho",
-    "l_band",
-    "m",
-    "omega",
-    "side",
-    "trials",
-    "seed",
-)
-
 
 class ConfigError(ValueError):
     """A configuration document that cannot become a valid sweep plan."""
+
+
+def _integer(name, token):
+    try:
+        value = int(token, 10) if isinstance(token, str) else int(token)
+        exact = isinstance(token, str) or value == token
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{name} must be an integer, got {token!r}")
+    return value
+
+
+def _real(name, token, n_side):
+    try:
+        value = float(token)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {token!r}")
+    return value
+
+
+def _band(name, token, n_side):
+    """An integer band half-width, or "full" for the untruncated n - 1."""
+    return n_side - 1 if token == "full" else _integer(name, token)
+
+
+def _unbounded(name, value, n_side, extended):
+    pass
+
+
+def _rho_range(name, value, n_side, extended):
+    below_top, span = (value < 1.0, "[0, 1)") if extended else (value <= 0.5, "[0, 0.5]")
+    if not (value >= 0.0 and below_top):
+        raise ValueError(f"rho out of range {span}, got {value!r}")
+
+
+def _band_range(name, value, n_side, extended):
+    if value > n_side - 1:
+        raise ValueError(f"l_band exceeds n-1 (n={n_side}, got {value})")
+    if value < 0:
+        raise ValueError(f"l_band out of range [0, {n_side - 1}], got {value}")
+
+
+def _positive(name, value, n_side, extended):
+    if not value > 0.0:
+        raise ValueError(f"{name} out of range (0, inf), got {value!r}")
+
+
+class Axis(NamedTuple):
+    """How one sweepable parameter is read and which values it admits.
+
+    parse(name, token, n_side) turns document text or a number into the
+    value; check(name, value, n_side, extended) raises ValueError naming
+    the violated range.  n_side is the correlated side's antenna count and
+    extended lifts the rho bound from [0, 0.5] to the model's [0, 1).
+    """
+
+    parse: Callable
+    check: Callable
+
+
+AXES = {
+    "snr_db": Axis(_real, _unbounded),
+    "rho": Axis(_real, _rho_range),
+    "l_band": Axis(_band, _band_range),
+    "m": Axis(_real, _positive),
+    "omega": Axis(_real, _positive),
+}
+AXIS_ORDER = tuple(AXES)
+
+
+def _axis_value(name, token, n_side, extended):
+    axis = AXES[name]
+    value = axis.parse(name, token, n_side)
+    axis.check(name, value, n_side, extended)
+    return value
+
+
+def _at(lineno, message):
+    """A ConfigError naming the document line, when there is one."""
+    return ConfigError(message if lineno is None else f"line {lineno}: {message}")
+
+
+def _parsed(parse, name, lineno, token, *context):
+    """parse(name, token, *context), with its ValueError as a ConfigError."""
+    try:
+        return parse(name, token, *context)
+    except ValueError as exc:
+        raise _at(lineno, str(exc)) from None
+
+
+def _axis_values(name, tokens, n_side, extended, lineno=None):
+    values = tuple(_parsed(_axis_value, name, lineno, t, n_side, extended) for t in tokens)
+    if not values:
+        raise _at(lineno, f"sweep axis {name!r} has no values")
+    if len(set(values)) != len(values):
+        raise _at(lineno, f"the {name} values list repeats a value")
+    return values
+
+
+class Preset(NamedTuple):
+    """A figure grid: its swept axes, its base defaults, the user sections it keeps.
+
+    An axis entry is a value list, or a function of the full band n - 1 for
+    axes that follow the antenna count.  The preset owns every axis except
+    those in keeps; user sections for any other axis are superseded.
+    """
+
+    axes: Dict[str, object]
+    base: Dict[str, object]
+    keeps: Tuple[str, ...] = ("omega",)
+
+
+PRESETS = {
+    "fig1": Preset(
+        axes={"snr_db": range(21), "m": (0.7, 2.5)},
+        base={"rho": 0.3, "l_band": "full"},
+    ),
+    "fig2": Preset(
+        axes={"l_band": lambda full: range(1, full + 1), "m": (0.7, 2.5)},
+        base={"snr_db": 10.0, "rho": 0.5},
+    ),
+    "fig3": Preset(
+        axes={"rho": (0.0, 0.1, 0.2, 0.3, 0.4, 0.5), "m": (0.7, 2.5)},
+        base={"snr_db": 10.0, "l_band": 3},
+    ),
+}
+PRESET_NAMES = tuple(PRESETS)
+# without a preset every [sweep.*] section is kept
+_NO_PRESET = Preset(axes={}, base={}, keeps=AXIS_ORDER)
+_BASE_DEFAULTS = {"snr_db": 10.0, "rho": 0.0, "l_band": "full", "m": 1.0, "omega": 1.0}
 
 
 @dataclass(frozen=True)
@@ -64,19 +186,16 @@ class SweepPlan:
     preset: Optional[str] = None
 
     def __post_init__(self):
-        n_side = self.base.mode.correlated_count(self.base.n_r, self.base.n_t)
         normalized = []
         for name, values in self.axes:
-            if name not in AXIS_ORDER:
+            if name not in AXES:
                 raise ValueError(
                     f"unknown sweep axis {name!r}; valid axes: {', '.join(AXIS_ORDER)}"
                 )
-            vals = tuple(_coerce_axis_value(name, v, n_side) for v in values)
-            if not vals:
-                raise ValueError(f"sweep axis {name!r} has no values")
-            if len(set(vals)) != len(vals):
-                raise ValueError(f"sweep axis {name!r} lists a value twice")
-            normalized.append((name, vals))
+            # the model domain: rho in [0, 1) whatever the document allowed
+            normalized.append(
+                (name, _axis_values(name, values, self.base.correlation.n, extended=True))
+            )
         names = [name for name, _ in normalized]
         if len(set(names)) != len(names):
             raise ValueError("sweep axis names must be unique")
@@ -107,26 +226,6 @@ class SweepPlan:
             point = dict(fixed)
             point.update(zip(names, combo))
             yield point
-
-
-def _coerce_axis_value(name, value, n_side):
-    if name == "l_band":
-        if float(value) != int(value):
-            raise ValueError(f"l_band values must be integers, got {value!r}")
-        iv = int(value)
-        if iv > n_side - 1:
-            raise ValueError(f"l_band exceeds n-1 (n={n_side}, got {iv})")
-        if iv < 0:
-            raise ValueError(f"l_band out of range [0, {n_side - 1}], got {iv}")
-        return iv
-    fv = float(value)
-    if not math.isfinite(fv):
-        raise ValueError(f"{name} values must be finite, got {value!r}")
-    if name == "rho" and not 0.0 <= fv < 1.0:
-        raise ValueError(f"rho out of range [0, 1), got {fv!r}")
-    if name in ("m", "omega") and not fv > 0.0:
-        raise ValueError(f"{name} out of range (0, inf), got {fv!r}")
-    return fv
 
 
 @dataclass(frozen=True)
@@ -172,53 +271,59 @@ def _point_label(point):
 
 
 def _config_for_point(base: SystemConfig, point, seed: int) -> SystemConfig:
-    n_side = base.mode.correlated_count(base.n_r, base.n_t)
     return SystemConfig(
         n_t=base.n_t,
         n_r=base.n_r,
         snr_db=point["snr_db"],
         fading=FadingParams(m=point["m"], omega=point["omega"]),
-        correlation=CorrelationSpec(n=n_side, rho=point["rho"], l_band=int(point["l_band"])),
+        correlation=CorrelationSpec(
+            n=base.correlation.n, rho=point["rho"], l_band=int(point["l_band"])
+        ),
         mode=base.mode,
         trials=base.trials,
         seed=seed,
     )
 
 
-def _run_point(config: SystemConfig, point, full_fit: bool) -> SweepRow:
+def _measure(config: SystemConfig, full_fit: bool) -> Dict[str, Optional[float]]:
+    """The result columns of one point."""
     result, samples = monte_carlo_esrc(config)
     betas = [fit_exponential(samples.samples[k]) for k in range(samples.n_users)]
     analytic = esrc_closed_form(BetaVector(betas))
-    alpha_mean = None
-    gof_pass_rate = None
-    if full_fit:
-        fits = [fit_gamma_ml(samples.samples[k]) for k in range(samples.n_users)]
-        alpha_mean = float(np.mean([fit.alpha for fit in fits]))
-        gof_pass_rate = float(np.mean([fit.chi2_pass and fit.ks_pass for fit in fits]))
-    return SweepRow(
-        snr_db=point["snr_db"],
-        rho=point["rho"],
-        l_band=int(point["l_band"]),
-        m=point["m"],
-        omega=point["omega"],
-        trials=config.trials,
-        seed=config.seed,
+    columns = dict(
         esrc_mc=result.esrc_mc,
         esrc_stderr=result.std_err,
         esrc_analytic=analytic,
         rel_err=abs(result.esrc_mc - analytic) / analytic,
-        alpha_mean=alpha_mean,
-        gof_pass_rate=gof_pass_rate,
-        status="ok",
+        alpha_mean=None,
+        gof_pass_rate=None,
     )
+    if full_fit:
+        fits = [fit_gamma_ml(samples.samples[k]) for k in range(samples.n_users)]
+        columns["alpha_mean"] = float(np.mean([fit.alpha for fit in fits]))
+        columns["gof_pass_rate"] = float(np.mean([fit.chi2_pass and fit.ks_pass for fit in fits]))
+    return columns
+
+
+_NO_RESULT = dict.fromkeys(
+    ("esrc_mc", "esrc_stderr", "esrc_analytic", "rel_err", "alpha_mean", "gof_pass_rate")
+)
+# failures confined to one point: an indefinite banded matrix, too many
+# singular channels, a fit or a closed-form term that does not converge
+_POINT_FAILURES = (
+    NotPositiveSemidefiniteError,
+    MonteCarloAbort,
+    FitConvergenceError,
+    NumericalError,
+)
 
 
 def run_sweep(plan: SweepPlan, full_fit: bool = False) -> List[SweepRow]:
     """Run every point of the plan in deterministic order.
 
-    A point whose Monte Carlo aborts (or whose full fit fails to converge)
-    becomes a status=failed row with empty result columns; the sweep keeps
-    going so one bad corner does not cost the whole table.
+    A point that fails on its own (see _POINT_FAILURES) becomes a
+    status=failed row with empty result columns; the sweep keeps going so
+    one bad corner does not cost the whole table.
     """
     rows: List[SweepRow] = []
     points = list(plan.points())
@@ -227,27 +332,17 @@ def run_sweep(plan: SweepPlan, full_fit: bool = False) -> List[SweepRow]:
         seed = point_seed(plan.base.seed, point)
         config = _config_for_point(plan.base, point, seed)
         try:
-            row = _run_point(config, point, full_fit)
-            log.info("%s: esrc_mc=%.6g rel_err=%.2e", _point_label(point), row.esrc_mc, row.rel_err)
-        except (MonteCarloAbort, FitConvergenceError) as exc:
-            log.warning("%s: failed (%s)", _point_label(point), exc)
-            row = SweepRow(
-                snr_db=point["snr_db"],
-                rho=point["rho"],
-                l_band=int(point["l_band"]),
-                m=point["m"],
-                omega=point["omega"],
-                trials=config.trials,
-                seed=seed,
-                esrc_mc=None,
-                esrc_stderr=None,
-                esrc_analytic=None,
-                rel_err=None,
-                alpha_mean=None,
-                gof_pass_rate=None,
-                status="failed",
+            columns, status = _measure(config, full_fit), "ok"
+            log.info(
+                "%s: esrc_mc=%.6g rel_err=%.2e",
+                _point_label(point),
+                columns["esrc_mc"],
+                columns["rel_err"],
             )
-        rows.append(row)
+        except _POINT_FAILURES as exc:
+            log.warning("%s: failed (%s)", _point_label(point), exc)
+            columns, status = _NO_RESULT, "failed"
+        rows.append(SweepRow(**point, trials=config.trials, seed=seed, **columns, status=status))
     return rows
 
 
@@ -263,26 +358,8 @@ def render_csv(rows: Sequence[SweepRow]) -> str:
     """Serialize rows under the fixed header; floats carry 9 significant digits."""
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    _cell(row.snr_db),
-                    _cell(row.rho),
-                    _cell(int(row.l_band)),
-                    _cell(row.m),
-                    _cell(row.omega),
-                    _cell(int(row.trials)),
-                    _cell(int(row.seed)),
-                    _cell(row.esrc_mc),
-                    _cell(row.esrc_stderr),
-                    _cell(row.esrc_analytic),
-                    _cell(row.rel_err),
-                    _cell(row.alpha_mean),
-                    _cell(row.gof_pass_rate),
-                    row.status,
-                )
-            )
-        )
+        *cells, status = astuple(row)
+        lines.append(",".join([_cell(value) for value in cells] + [status]))
     return "\n".join(lines) + "\n"
 
 
@@ -292,6 +369,35 @@ def emit_csv(rows: Sequence[SweepRow], destination) -> str:
     with open(destination, "w", encoding="ascii", newline="") as fh:
         fh.write(text)
     return str(destination)
+
+
+def _count(name, token):
+    value = _integer(name, token)
+    if value < 1:
+        raise ValueError(f"{name} out of range [1, inf), got {value!r}")
+    return value
+
+
+def _seed(name, token):
+    value = _integer(name, token)
+    if not 0 <= value <= MAX_SEED:
+        raise ValueError(f"seed out of range [0, 2^64-1], got {value!r}")
+    return value
+
+
+def _side(name, token):
+    return SemiCorrelationMode(token)
+
+
+# the scalar keys that are not sweepable: parser and default
+_SETTINGS = {
+    "n_t": (_count, 8),
+    "n_r": (_count, 8),
+    "side": (_side, "transmit"),
+    "trials": (_count, DEFAULT_TRIALS),
+    "seed": (_seed, 0),
+}
+_SCALAR_KEYS = ("preset", "n_t", "n_r", *AXES, "side", "trials", "seed")
 
 
 def parse_config(
@@ -309,72 +415,66 @@ def parse_config(
     list.  ``#`` starts a comment.  The keyword arguments are command-line
     overrides and take precedence over the document's own keys.
     """
-    scalars, axis_specs = _parse_document(text)
+    scalars, sections = _parse_document(text)
 
-    doc_preset = str(scalars.pop("preset", (0, "none"))[1])
-    chosen_preset = preset if preset is not None else doc_preset
-    if chosen_preset not in PRESET_NAMES + ("none",):
-        raise ConfigError(
-            f"unknown preset {chosen_preset!r}; valid presets: {', '.join(PRESET_NAMES)} or none"
+    lineno, chosen = scalars.pop("preset", (None, "none"))
+    if preset is not None:
+        lineno, chosen = None, preset
+    if chosen not in PRESET_NAMES + ("none",):
+        raise _at(
+            lineno, f"unknown preset {chosen!r}; valid presets: {', '.join(PRESET_NAMES)} or none"
         )
+    recipe = PRESETS.get(chosen, _NO_PRESET)
 
-    given = _typed_scalars(scalars, allow_extended)
-    if trials is not None:
-        given["trials"] = _check_trials(trials)
-    if seed is not None:
-        given["seed"] = _check_seed(seed)
+    settings = {
+        key: _parsed(parse, key, *scalars.get(key, (None, default)))
+        for key, (parse, default) in _SETTINGS.items()
+    }
+    for key, override in (("trials", trials), ("seed", seed)):
+        if override is not None:
+            settings[key] = _parsed(_SETTINGS[key][0], key, None, override)
+    mode = settings["side"]
+    n_side = mode.correlated_count(settings["n_r"], settings["n_t"])
 
-    n_t = given.get("n_t", 8)
-    n_r = given.get("n_r", 8)
-    try:
-        mode = SemiCorrelationMode(given.get("side", "transmit"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    n_side = mode.correlated_count(n_r, n_t)
-
-    if chosen_preset != "none":
-        base_values, axes = _expand_preset(chosen_preset, given, axis_specs, n_side, allow_extended)
-    else:
-        base_values = {
-            "snr_db": given.get("snr_db", 10.0),
-            "rho": given.get("rho", 0.0),
-            "l_band": given.get("l_band", n_side - 1),
-            "m": given.get("m", 1.0),
-            "omega": given.get("omega", 1.0),
-        }
-        axes = [
-            (param, _axis_values(param, raw, lineno, n_side, allow_extended))
-            for param, (lineno, raw) in axis_specs.items()
-        ]
-
-    if base_values["l_band"] == "full":
-        base_values["l_band"] = n_side - 1
-    _check_scalar_ranges(base_values, n_side, allow_extended)
+    base = {}
+    for name in AXES:
+        default = recipe.base.get(name, _BASE_DEFAULTS[name])
+        lineno, token = scalars.get(name, (None, default))
+        base[name] = _parsed(_axis_value, name, lineno, token, n_side, allow_extended)
+    axes = []
+    for name, values in recipe.axes.items():
+        tokens = values(_band("l_band", "full", n_side)) if callable(values) else values
+        axes.append((name, _axis_values(name, tokens, n_side, allow_extended)))
+    for name, (lineno, tokens) in sections.items():
+        if name in recipe.keeps:
+            axes.append((name, _axis_values(name, tokens, n_side, allow_extended, lineno)))
 
     try:
-        base = SystemConfig(
-            n_t=n_t,
-            n_r=n_r,
-            snr_db=base_values["snr_db"],
-            fading=FadingParams(m=base_values["m"], omega=base_values["omega"]),
-            correlation=CorrelationSpec(
-                n=n_side, rho=base_values["rho"], l_band=int(base_values["l_band"])
-            ),
+        plan_base = SystemConfig(
+            n_t=settings["n_t"],
+            n_r=settings["n_r"],
+            snr_db=base["snr_db"],
+            fading=FadingParams(m=base["m"], omega=base["omega"]),
+            correlation=CorrelationSpec(n=n_side, rho=base["rho"], l_band=base["l_band"]),
             mode=mode,
-            trials=given.get("trials", DEFAULT_TRIALS),
-            seed=given.get("seed", 0),
+            trials=settings["trials"],
+            seed=settings["seed"],
         )
         return SweepPlan(
-            base=base,
+            base=plan_base,
             axes=tuple(axes),
-            preset=None if chosen_preset == "none" else chosen_preset,
+            preset=None if chosen == "none" else chosen,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _parse_document(text):
-    """Split the document into raw scalar entries and sweep-section entries."""
+    """Split the document into raw scalar entries and sweep-section value lists.
+
+    Each entry keeps its line number, so a value that fails its range
+    check later still names the line it came from.
+    """
     scalars = {}
     axes = {}
     section = None
@@ -391,7 +491,7 @@ def _parse_document(text):
                     f"line {lineno}: unknown section [{name}]; only [sweep.<param>] is allowed"
                 )
             param = name[len("sweep.") :]
-            if param not in AXIS_ORDER:
+            if param not in AXES:
                 raise ConfigError(
                     f"line {lineno}: unknown sweep parameter {param!r}; "
                     f"valid axes: {', '.join(AXIS_ORDER)}"
@@ -423,160 +523,11 @@ def _parse_document(text):
                 )
             if axes[section] is not None:
                 raise ConfigError(f"line {lineno}: duplicate values for [sweep.{section}]")
-            axes[section] = (lineno, value)
+            items = [item.strip() for item in value.split(",")]
+            if not all(items):
+                raise ConfigError(f"line {lineno}: empty entry in the {section} values list")
+            axes[section] = (lineno, items)
     for param, entry in axes.items():
         if entry is None:
             raise ConfigError(f"[sweep.{param}] section is missing its values list")
     return scalars, axes
-
-
-def _parse_float(key, raw, lineno):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be a real number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"line {lineno}: {key} must be finite, got {raw!r}")
-    return value
-
-
-def _parse_int(key, raw, lineno):
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be an integer, got {raw!r}") from None
-
-
-def _check_trials(value):
-    if int(value) != value or value < 1:
-        raise ConfigError(f"trials out of range [1, inf), got {value!r}")
-    return int(value)
-
-
-def _check_seed(value):
-    if int(value) != value or not 0 <= value <= MAX_SEED:
-        raise ConfigError(f"seed out of range [0, 2^64-1], got {value!r}")
-    return int(value)
-
-
-def _typed_scalars(scalars, allow_extended):
-    """Convert raw scalar strings to their types; range checks come later."""
-    given = {}
-    for key, (lineno, raw) in scalars.items():
-        if key in ("n_t", "n_r"):
-            value = _parse_int(key, raw, lineno)
-            if value < 1:
-                raise ConfigError(f"line {lineno}: {key} out of range [1, inf), got {value}")
-        elif key == "trials":
-            value = _check_trials(_parse_int(key, raw, lineno))
-        elif key == "seed":
-            value = _check_seed(_parse_int(key, raw, lineno))
-        elif key == "side":
-            value = raw
-            if value not in ("transmit", "receive"):
-                raise ConfigError(
-                    f"line {lineno}: side must be 'transmit' or 'receive', got {raw!r}"
-                )
-        elif key == "l_band":
-            value = "full" if raw == "full" else _parse_int(key, raw, lineno)
-        elif key in ("snr_db", "rho", "m", "omega"):
-            value = _parse_float(key, raw, lineno)
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        given[key] = value
-    return given
-
-
-def _rho_range(allow_extended):
-    return "[0, 1)" if allow_extended else "[0, 0.5]"
-
-
-def _rho_ok(value, allow_extended):
-    if allow_extended:
-        return 0.0 <= value < 1.0
-    return 0.0 <= value <= 0.5
-
-
-def _check_scalar_ranges(base_values, n_side, allow_extended):
-    rho = base_values["rho"]
-    if not _rho_ok(rho, allow_extended):
-        raise ConfigError(f"rho out of range {_rho_range(allow_extended)}, got {rho!r}")
-    l_band = base_values["l_band"]
-    if int(l_band) != l_band:
-        raise ConfigError(f"l_band must be an integer, got {l_band!r}")
-    if l_band > n_side - 1:
-        raise ConfigError(f"l_band exceeds n-1 (n={n_side}, got {int(l_band)})")
-    if l_band < 0:
-        raise ConfigError(f"l_band out of range [0, {n_side - 1}], got {int(l_band)}")
-    if not base_values["m"] > 0.0:
-        raise ConfigError(f"m out of range (0, inf), got {base_values['m']!r}")
-    if not base_values["omega"] > 0.0:
-        raise ConfigError(f"omega out of range (0, inf), got {base_values['omega']!r}")
-
-
-def _axis_values(param, raw, lineno, n_side, allow_extended):
-    items = [item.strip() for item in raw.split(",")]
-    if any(not item for item in items):
-        raise ConfigError(f"line {lineno}: empty entry in the {param} values list")
-    values = []
-    for item in items:
-        if param == "l_band":
-            values.append(_parse_int(param, item, lineno))
-        else:
-            values.append(_parse_float(param, item, lineno))
-    for value in values:
-        if param == "rho" and not _rho_ok(value, allow_extended):
-            raise ConfigError(
-                f"line {lineno}: rho out of range {_rho_range(allow_extended)}, got {value!r}"
-            )
-        if param == "l_band":
-            if value > n_side - 1:
-                raise ConfigError(f"line {lineno}: l_band exceeds n-1 (n={n_side}, got {value})")
-            if value < 0:
-                raise ConfigError(
-                    f"line {lineno}: l_band out of range [0, {n_side - 1}], got {value}"
-                )
-        if param in ("m", "omega") and not value > 0.0:
-            raise ConfigError(f"line {lineno}: {param} out of range (0, inf), got {value!r}")
-    if len(set(values)) != len(values):
-        raise ConfigError(f"line {lineno}: the {param} values list repeats a value")
-    return tuple(values)
-
-
-def _expand_preset(name, given, axis_specs, n_side, allow_extended):
-    """Fill in a preset's axes and base defaults.
-
-    The preset owns the snr_db/rho/l_band/m axes outright (any such user
-    sections are superseded); an omega section survives because the fading
-    power is an optional extra axis on every preset.  Preset base values are
-    defaults: an explicit scalar in the document still wins.
-    """
-    if name == "fig1":
-        axes = [
-            ("snr_db", tuple(float(v) for v in range(21))),
-            ("m", (0.7, 2.5)),
-        ]
-        defaults = {"rho": 0.3, "l_band": n_side - 1}
-    elif name == "fig2":
-        axes = [
-            ("l_band", tuple(range(1, n_side))),
-            ("m", (0.7, 2.5)),
-        ]
-        defaults = {"snr_db": 10.0, "rho": 0.5}
-    else:
-        axes = [
-            ("rho", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
-            ("m", (0.7, 2.5)),
-        ]
-        defaults = {"snr_db": 10.0, "l_band": 3}
-    if "omega" in axis_specs:
-        lineno, raw = axis_specs["omega"]
-        axes.append(("omega", _axis_values("omega", raw, lineno, n_side, allow_extended)))
-    base_values = {
-        "snr_db": given.get("snr_db", defaults.get("snr_db", 10.0)),
-        "rho": given.get("rho", defaults.get("rho", 0.0)),
-        "l_band": given.get("l_band", defaults.get("l_band", n_side - 1)),
-        "m": given.get("m", 1.0),
-        "omega": given.get("omega", 1.0),
-    }
-    return base_values, axes

@@ -14,7 +14,6 @@ in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import lapack
@@ -65,20 +64,16 @@ class SinrSampleSet:
 
 @dataclass(frozen=True)
 class EsrcResult:
-    """Monte Carlo mean sum rate, its standard error, and optional analytic side."""
+    """Monte Carlo mean sum rate and its standard error."""
 
     esrc_mc: float
     std_err: float
-    esrc_analytic: Optional[float] = None
-    betas: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (self.esrc_mc >= 0.0 and np.isfinite(self.esrc_mc)):
             raise ValueError(f"esrc_mc must be finite and >= 0, got {self.esrc_mc!r}")
         if not (self.std_err >= 0.0 and np.isfinite(self.std_err)):
             raise ValueError(f"std_err must be finite and >= 0, got {self.std_err!r}")
-        if self.betas is not None and not np.all(self.betas > 0.0):
-            raise ValueError("betas must all be positive when present")
 
 
 def zf_sinr(h, snr):
@@ -129,7 +124,7 @@ def trial_rng(seed, trial):
 def monte_carlo_esrc(config, trials=None, seed=None):
     """Estimate the ergodic sum-rate capacity by independent channel draws.
 
-    Returns (EsrcResult with Monte Carlo fields only, SinrSampleSet).
+    Returns (EsrcResult, SinrSampleSet).
     Singular draws are resampled from the same per-trial stream; if more
     than SINGULAR_TRIAL_FRACTION of trials hit one, the run aborts
     rather than deliver a silently biased estimate.

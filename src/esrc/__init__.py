@@ -18,7 +18,6 @@ from esrc.analytic import (
 from esrc.channel import (
     FadingParams,
     SemiCorrelationMode,
-    classify_fading,
     compose_channel,
     sample_channel_matrix,
     sample_nakagami_component,
@@ -88,7 +87,6 @@ __all__ = [
     "build_banded_correlation",
     "capacity_pdf",
     "chi_square_gof",
-    "classify_fading",
     "compose_channel",
     "default_capacity_grid",
     "emit_csv",

@@ -33,6 +33,7 @@ from esrc.specfun import (
 
 GRID_MAX_BITS = 64.0
 _TAIL_MASS = 1e-6
+_MGF_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,11 @@ def sum_capacity_mgf(s, b):
     return float(value.real)
 
 
-def mgf_mean_check(b, step=1e-4):
+def mgf_mean_check(b):
     """|dM/ds| at s = 0 by central difference; numerically verifies the closed form."""
-    if not 1e-6 <= step <= 1e-3:
-        raise ValueError(f"step must lie in [1e-6, 1e-3], got {step!r}")
-    forward = sum_capacity_mgf(step, b)
-    backward = sum_capacity_mgf(-step, b)
-    return abs(forward - backward) / (2.0 * step)
+    forward = sum_capacity_mgf(_MGF_STEP, b)
+    backward = sum_capacity_mgf(-_MGF_STEP, b)
+    return abs(forward - backward) / (2.0 * _MGF_STEP)
 
 
 def _density_transform(b):
@@ -152,6 +151,11 @@ def default_capacity_grid(b, points=512):
         return float(np.sum(np.exp(-np.expm1(LN2 * t / n) / betas)))
 
     upper = n * np.log2(1.0 + 10.0 * float(np.max(betas)))
+    # below about 1e-17 the start rounds to 0, which no growth factor moves
+    if not upper > 0.0:
+        raise ValueError(
+            f"betas up to {float(np.max(betas)):.3g} are too small to place a capacity grid"
+        )
     while tail(upper) > _TAIL_MASS and upper < GRID_MAX_BITS:
         upper *= 1.25
     upper = min(upper, GRID_MAX_BITS)

@@ -20,14 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-HYPER_RAYLEIGH = "hyper-rayleigh"
-RAYLEIGH = "rayleigh"
-LIGHTER_THAN_RAYLEIGH = "lighter-than-rayleigh"
-
-MIN_SEMICORRELATED = "min-semicorrelated"
-MAX_SEMICORRELATED = "max-semicorrelated"
-
-
 @dataclass(frozen=True)
 class FadingParams:
     """Shape m (smaller means deeper fading) and average power omega."""
@@ -42,15 +34,6 @@ class FadingParams:
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
 
 
-def classify_fading(params):
-    """Severity label relative to the m = 1 Gaussian-quadrature baseline."""
-    if params.m < 1.0:
-        return HYPER_RAYLEIGH
-    if params.m == 1.0:
-        return RAYLEIGH
-    return LIGHTER_THAN_RAYLEIGH
-
-
 @dataclass(frozen=True)
 class SemiCorrelationMode:
     """Which link side carries the correlation matrix."""
@@ -63,14 +46,6 @@ class SemiCorrelationMode:
 
     def correlated_count(self, n_r, n_t):
         return n_t if self.side == "transmit" else n_r
-
-    def label(self, n_r, n_t):
-        """Min-semicorrelated when the correlated side has no more antennas
-        than the other side (ties count as min), max-semicorrelated otherwise.
-        """
-        correlated = self.correlated_count(n_r, n_t)
-        other = n_r + n_t - correlated
-        return MIN_SEMICORRELATED if correlated <= other else MAX_SEMICORRELATED
 
 
 def _require_generator(rng):

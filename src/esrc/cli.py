@@ -17,6 +17,7 @@ from esrc.runner import (
     render_csv,
     run_sweep,
 )
+from esrc.specfun import LaplaceInversionError, NumericalError
 
 
 def _build_parser():
@@ -135,10 +136,7 @@ def main(argv=None):
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_pdf(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError, NumericalError, LaplaceInversionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# eigenvalues down to -PSD_TOL count as round-off on a PSD matrix
+PSD_TOL = 1e-12
+
 
 class NotPositiveSemidefiniteError(ValueError):
     """Raised when a matrix fails the PSD gate; carries min_eig."""
@@ -63,14 +66,12 @@ def build_banded_correlation(spec):
     return np.where(lag <= spec.l_band, np.power(spec.rho, lag.astype(float)), 0.0)
 
 
-def psd_check(matrix, tol=1e-12):
+def psd_check(matrix):
     """Smallest-eigenvalue report for a Hermitian matrix.
 
-    is_psd is true when min_eig >= -tol, so eigensolver round-off on a
+    is_psd is true when min_eig >= -PSD_TOL, so eigensolver round-off on a
     genuinely PSD matrix does not trip the gate.
     """
-    if tol < 0.0:
-        raise ValueError(f"tol must be non-negative, got {tol!r}")
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -84,17 +85,17 @@ def psd_check(matrix, tol=1e-12):
             f"(fingerprint {hashlib.blake2b(arr.tobytes(), digest_size=4).hexdigest()})"
         ) from exc
     min_eig = float(eigs[0])
-    return PsdReport(min_eig=min_eig, is_psd=min_eig >= -tol)
+    return PsdReport(min_eig=min_eig, is_psd=min_eig >= -PSD_TOL)
 
 
-def matrix_sqrt(matrix, tol=1e-12, spec=None):
+def matrix_sqrt(matrix, spec=None):
     """Hermitian square root via eigendecomposition.
 
-    Eigenvalues in [-tol, 0) are treated as rounding debris and clamped
-    to zero.  Anything below -tol raises NotPositiveSemidefiniteError.
+    Eigenvalues in [-PSD_TOL, 0) are treated as rounding debris and clamped
+    to zero.  Anything below -PSD_TOL raises NotPositiveSemidefiniteError.
     """
     arr = np.asarray(matrix)
-    report = psd_check(arr, tol=tol)
+    report = psd_check(arr)
     if not report.is_psd:
         origin = f" for {spec!r}" if spec is not None else ""
         raise NotPositiveSemidefiniteError(

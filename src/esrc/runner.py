@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import logging
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,11 +33,6 @@ from esrc.zf import MonteCarloAbort, monte_carlo_esrc
 log = logging.getLogger(__name__)
 
 DEFAULT_TRIALS = 100_000
-
-CSV_HEADER = (
-    "snr_db,rho,l_band,m,omega,trials,seed,esrc_mc,esrc_stderr,"
-    "esrc_analytic,rel_err,alpha_mean,gof_pass_rate,status"
-)
 
 
 class ConfigError(ValueError):
@@ -183,7 +178,6 @@ class SweepPlan:
 
     base: SystemConfig
     axes: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
-    preset: Optional[str] = None
 
     def __post_init__(self):
         normalized = []
@@ -201,10 +195,6 @@ class SweepPlan:
             raise ValueError("sweep axis names must be unique")
         normalized.sort(key=lambda item: AXIS_ORDER.index(item[0]))
         object.__setattr__(self, "axes", tuple(normalized))
-        if self.preset is not None and self.preset not in PRESET_NAMES:
-            raise ValueError(
-                f"unknown preset {self.preset!r}; valid presets: {', '.join(PRESET_NAMES)}"
-            )
 
     def points(self) -> Iterator[Dict[str, float]]:
         """Cartesian product of the axes, lexicographic in AXIS_ORDER.
@@ -248,6 +238,9 @@ class SweepRow:
     status: str
 
 
+CSV_HEADER = ",".join(field.name for field in fields(SweepRow))
+
+
 def point_seed(master_seed: int, point: Dict[str, float]) -> int:
     """Per-point seed: blake2b over the master seed and parameter values.
 
@@ -288,7 +281,7 @@ def _config_for_point(base: SystemConfig, point, seed: int) -> SystemConfig:
 def _measure(config: SystemConfig, full_fit: bool) -> Dict[str, Optional[float]]:
     """The result columns of one point."""
     result, samples = monte_carlo_esrc(config)
-    betas = [fit_exponential(samples.samples[k]) for k in range(samples.n_users)]
+    betas = [fit_exponential(row) for row in samples.samples]
     analytic = esrc_closed_form(BetaVector(betas))
     columns = dict(
         esrc_mc=result.esrc_mc,
@@ -299,7 +292,7 @@ def _measure(config: SystemConfig, full_fit: bool) -> Dict[str, Optional[float]]
         gof_pass_rate=None,
     )
     if full_fit:
-        fits = [fit_gamma_ml(samples.samples[k]) for k in range(samples.n_users)]
+        fits = [fit_gamma_ml(row) for row in samples.samples]
         columns["alpha_mean"] = float(np.mean([fit.alpha for fit in fits]))
         columns["gof_pass_rate"] = float(np.mean([fit.chi2_pass and fit.ks_pass for fit in fits]))
     return columns
@@ -460,11 +453,7 @@ def parse_config(
             trials=settings["trials"],
             seed=settings["seed"],
         )
-        return SweepPlan(
-            base=plan_base,
-            axes=tuple(axes),
-            preset=None if chosen == "none" else chosen,
-        )
+        return SweepPlan(base=plan_base, axes=tuple(axes))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

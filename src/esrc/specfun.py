@@ -49,13 +49,6 @@ class LaplaceInversionError(ArithmeticError):
         self.point = point
 
 
-def ln_gamma(x):
-    """Natural log of Gamma(x) for x > 0."""
-    if not (x > 0.0) or math.isinf(x):
-        raise ValueError(f"ln_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def _lentz_cf(s, x):
     """Scaled continued-fraction factor C with Gamma(s, x) = x^s e^{-x} C.
 

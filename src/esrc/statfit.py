@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, polygamma, psi
+from scipy.special import gammainc, polygamma, psi
 from scipy.stats import chi2 as chi2_dist
 
 N_BINS = 20
+# significance level of both goodness-of-fit gates
+GOF_LEVEL = 0.05
 _MAX_NEWTON = 200
 _RESIDUAL_TOL = 1e-10
 
@@ -33,7 +35,6 @@ class FitConvergenceError(ArithmeticError):
 class GammaFit:
     alpha: float
     beta: float
-    log_likelihood: float
     chi2_pass: bool
     ks_pass: bool
     chi2_stat: float
@@ -96,8 +97,8 @@ def _solve_shape(s):
     )
 
 
-def fit_gamma_ml(samples, level=0.05):
-    """Gamma ML fit of positive samples, with both GoF gates at `level`.
+def fit_gamma_ml(samples):
+    """Gamma ML fit of positive samples, with both GoF gates at GOF_LEVEL.
 
     The chi-squared gate needs at least 200 samples for its 20
     equiprobable bins, so a complete fit needs that many; degenerate
@@ -115,22 +116,15 @@ def fit_gamma_ml(samples, level=0.05):
         )
     alpha = _solve_shape(s)
     beta = mean / alpha
-    n = x.size
-    log_likelihood = float(
-        -n * (gammaln(alpha) + alpha * np.log(beta))
-        + (alpha - 1.0) * np.sum(np.log(x))
-        - np.sum(x) / beta
-    )
 
     def fitted_cdf(t):
         return gammainc(alpha, np.asarray(t, dtype=float) / beta)
 
-    chi2 = chi_square_gof(x, fitted_cdf, fitted_param_count=2, level=level)
-    ks = ks_gof(x, fitted_cdf, level=level)
+    chi2 = chi_square_gof(x, fitted_cdf, fitted_param_count=2)
+    ks = ks_gof(x, fitted_cdf)
     return GammaFit(
         alpha=alpha,
         beta=beta,
-        log_likelihood=log_likelihood,
         chi2_pass=chi2.passed,
         ks_pass=ks.passed,
         chi2_stat=chi2.stat,
@@ -138,11 +132,9 @@ def fit_gamma_ml(samples, level=0.05):
     )
 
 
-def chi_square_gof(samples, cdf, fitted_param_count, level=0.05):
-    """Pearson test on N_BINS equiprobable bins under the fitted cdf."""
+def chi_square_gof(samples, cdf, fitted_param_count):
+    """Pearson test at GOF_LEVEL on N_BINS equiprobable bins under the fitted cdf."""
     x = _validate_samples(samples, 200, "chi_square_gof")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
     if int(fitted_param_count) != fitted_param_count or fitted_param_count < 0:
         raise ValueError(f"fitted_param_count must be a non-negative integer")
     dof = N_BINS - 1 - int(fitted_param_count)
@@ -156,23 +148,21 @@ def chi_square_gof(samples, cdf, fitted_param_count, level=0.05):
     u = np.clip(np.asarray(cdf(x), dtype=float), 0.0, 1.0)
     observed, _ = np.histogram(u, bins=N_BINS, range=(0.0, 1.0))
     stat = float(np.sum((observed - expected) ** 2 / expected))
-    threshold = float(chi2_dist.ppf(1.0 - level, dof))
+    threshold = float(chi2_dist.ppf(1.0 - GOF_LEVEL, dof))
     return ChiSquareResult(stat=stat, dof=dof, passed=stat < threshold)
 
 
-def ks_threshold(level, n):
-    """Asymptotic Kolmogorov critical value c(level)/sqrt(n)."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    return float(np.sqrt(-0.5 * np.log(0.5 * level)) / np.sqrt(n))
+def ks_threshold(n):
+    """Asymptotic Kolmogorov critical value c(GOF_LEVEL)/sqrt(n)."""
+    return float(np.sqrt(-0.5 * np.log(0.5 * GOF_LEVEL)) / np.sqrt(n))
 
 
-def ks_gof(samples, cdf, level=0.05):
-    """Kolmogorov sup-distance test against a fully specified cdf."""
+def ks_gof(samples, cdf):
+    """Kolmogorov sup-distance test at GOF_LEVEL against a fully specified cdf."""
     x = _validate_samples(samples, 50, "ks_gof")
     n = x.size
     f = np.asarray(cdf(np.sort(x)), dtype=float)
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
     stat = float(max(np.max(grid_hi - f), np.max(f - grid_lo)))
-    return KsResult(stat=stat, passed=stat < ks_threshold(level, n))
+    return KsResult(stat=stat, passed=stat < ks_threshold(n))

@@ -48,16 +48,9 @@ class MonteCarloAbort(RuntimeError):
 class SinrSampleSet:
     """Per-user SINR arrays, one row per user, one column per trial."""
 
-    n_users: int
-    trials: int
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.samples.shape != (self.n_users, self.trials):
-            raise ValueError(
-                f"samples shape {self.samples.shape} does not match "
-                f"{self.n_users} users x {self.trials} trials"
-            )
         if not np.all(np.isfinite(self.samples) & (self.samples > 0.0)):
             raise ValueError("every SINR sample must be positive and finite")
 
@@ -121,7 +114,7 @@ def trial_rng(seed, trial):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def monte_carlo_esrc(config, trials=None, seed=None):
+def monte_carlo_esrc(config):
     """Estimate the ergodic sum-rate capacity by independent channel draws.
 
     Returns (EsrcResult, SinrSampleSet).
@@ -129,17 +122,13 @@ def monte_carlo_esrc(config, trials=None, seed=None):
     than SINGULAR_TRIAL_FRACTION of trials hit one, the run aborts
     rather than deliver a silently biased estimate.
     """
-    trials = config.trials if trials is None else trials
-    seed = config.seed if seed is None else seed
-    if int(trials) != trials or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-
+    trials = config.trials
+    seed = config.seed
     sigma = build_banded_correlation(config.correlation)
     sqrt_sigma = matrix_sqrt(sigma, spec=config.correlation)
     snr = config.snr_linear
-    n_users = config.n_users
 
-    samples = np.empty((n_users, trials))
+    samples = np.empty((config.n_users, trials))
     rates = np.empty(trials)
     singular_trials = 0
     for t in range(trials):
@@ -177,4 +166,4 @@ def monte_carlo_esrc(config, trials=None, seed=None):
     else:
         std_err = 0.0
     result = EsrcResult(esrc_mc=esrc_mc, std_err=std_err)
-    return result, SinrSampleSet(n_users=n_users, trials=trials, samples=samples)
+    return result, SinrSampleSet(samples=samples)

@@ -178,12 +178,6 @@ class TestMgfMeanCheck:
             target = esrc_closed_form(b)
             assert abs(mgf_mean_check(b) - target) / target < 1e-5
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            mgf_mean_check(BetaVector([1.0]), step=1e-7)
-        with pytest.raises(ValueError):
-            mgf_mean_check(BetaVector([1.0]), step=1e-2)
-
 
 class TestDefaultCapacityGrid:
     def test_shape_and_ordering(self):
@@ -203,6 +197,12 @@ class TestDefaultCapacityGrid:
     def test_rejects_bad_points(self):
         with pytest.raises(ValueError):
             default_capacity_grid(BetaVector([1.0]), points=4)
+
+    def test_rejects_betas_too_small_to_grid(self):
+        # below about 1e-17 the starting edge rounds to 0 and cannot grow
+        for beta in (1e-300, 1e-18):
+            with pytest.raises(ValueError, match="too small"):
+                default_capacity_grid(BetaVector([beta, beta]), points=8)
 
 
 class TestCapacityPdf:

@@ -6,14 +6,8 @@ from scipy import stats
 from scipy.integrate import quad
 
 from esrc.channel import (
-    HYPER_RAYLEIGH,
-    LIGHTER_THAN_RAYLEIGH,
-    MAX_SEMICORRELATED,
-    MIN_SEMICORRELATED,
-    RAYLEIGH,
     FadingParams,
     SemiCorrelationMode,
-    classify_fading,
     compose_channel,
     nakagami_component_pdf,
     sample_channel_matrix,
@@ -40,24 +34,11 @@ class TestFadingParams:
         with pytest.raises(ValueError):
             FadingParams(m=np.inf, omega=1.0)
 
-    def test_classification(self):
-        assert classify_fading(FadingParams(m=0.7, omega=1.0)) == HYPER_RAYLEIGH
-        assert classify_fading(FadingParams(m=1.0, omega=2.0)) == RAYLEIGH
-        assert classify_fading(FadingParams(m=2.5, omega=1.0)) == LIGHTER_THAN_RAYLEIGH
-
 
 class TestSemiCorrelationMode:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             SemiCorrelationMode(side="both")
-
-    def test_label_fewer_antennas_is_min(self):
-        assert SemiCorrelationMode("transmit").label(n_r=8, n_t=4) == MIN_SEMICORRELATED
-        assert SemiCorrelationMode("receive").label(n_r=8, n_t=4) == MAX_SEMICORRELATED
-
-    def test_label_tie_counts_as_min(self):
-        assert SemiCorrelationMode("transmit").label(n_r=8, n_t=8) == MIN_SEMICORRELATED
-        assert SemiCorrelationMode("receive").label(n_r=8, n_t=8) == MIN_SEMICORRELATED
 
     def test_correlated_count(self):
         assert SemiCorrelationMode("transmit").correlated_count(n_r=8, n_t=4) == 4

@@ -1,0 +1,52 @@
+"""Golden outputs: sha256 digests of whole CLI outputs at fixed seeds.
+
+These pin the bytes of `esrc run` and `esrc pdf`, so a refactor that is
+meant to keep the arithmetic unchanged shows any drift here first.  A
+change that alters these numbers on purpose (a new Monte Carlo kernel, for
+instance) re-pins the digests and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from esrc.cli import main
+
+BETAS_10DB = "9.18,8.36,8.41,8.35,8.36,8.34,8.31,9.14"
+
+
+@pytest.mark.parametrize(
+    "preset, extra, digest",
+    [
+        ("fig1", [], "d0e277275b4cee899e9e4d48747ddfc6f3055dc51ca57a0b617722aed504fdad"),
+        ("fig2", [], "d64d22c31722ed5e9e91a7711fd0dbcf266d3f1566f19e8ef47d4c8b679aab77"),
+        (
+            "fig3",
+            ["--full-fit"],
+            "edd62f29fc4510c81998ae8f1d36012e055357059d0c762dbb10db602e7b1a08",
+        ),
+    ],
+)
+def test_run_csv_bytes(tmp_path, preset, extra, digest):
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text(f"preset = {preset}\n")
+    out = tmp_path / "out.csv"
+    argv = ["run", "--config", str(cfg), "--trials", "200", "--seed", "7", "--out", str(out)]
+    assert main(argv + extra) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        (["--points", "40"], "5929d0163a5d0be70945bb537b83bd0a23674113691f53315d8ad0baee47bd2f"),
+        (
+            ["--grid-max", "8", "--points", "64"],
+            "bd452f47b8687b6e090f9208a553eccd6426e2253e88537cbfa69caf6f72c9b0",
+        ),
+    ],
+)
+def test_pdf_table_bytes(tmp_path, extra, digest):
+    out = tmp_path / "pdf.dat"
+    assert main(["pdf", "--betas", BETAS_10DB, *extra, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

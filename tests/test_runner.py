@@ -65,7 +65,6 @@ class TestParseConfig:
         assert dict(plan.axes)["m"] == (0.7, 2.5)
         assert plan.base.correlation.rho == 0.3
         assert plan.base.correlation.l_band == 7
-        assert plan.preset == "fig1"
         assert len(list(plan.points())) == 42
 
     def test_fig2_preset_expansion(self):
@@ -99,10 +98,9 @@ class TestParseConfig:
 
     def test_cli_preset_override_wins(self):
         plan = parse_config("preset = fig1\n", preset="fig2")
-        assert plan.preset == "fig2"
-        assert "l_band" in dict(plan.axes)
+        assert [name for name, _ in plan.axes] == ["l_band", "m"]
         plan = parse_config("preset = fig1\n", preset="none")
-        assert plan.preset is None and plan.axes == ()
+        assert plan.axes == ()
 
     def test_trials_and_seed_overrides(self):
         plan = parse_config("trials = 50\nseed = 1\n", trials=777, seed=42)
@@ -295,8 +293,6 @@ class TestSweepPlan:
             SweepPlan(base=self.base(), axes=(("m", (1.0,)), ("m", (2.0,))))
         with pytest.raises(ValueError, match="l_band must be an integer"):
             SweepPlan(base=self.base(), axes=(("l_band", (0.5,)),))
-        with pytest.raises(ValueError, match="unknown preset"):
-            SweepPlan(base=self.base(), preset="fig9")
 
 
 class TestPointSeed:
@@ -358,10 +354,10 @@ class TestRunSweep:
     def test_failed_point_keeps_the_sweep_going(self, monkeypatch):
         real = runner_mod.monte_carlo_esrc
 
-        def flaky(config, trials=None, seed=None):
+        def flaky(config):
             if config.snr_db == 10.0:
                 raise MonteCarloAbort("too many singular draws", 5, 100)
-            return real(config, trials, seed)
+            return real(config)
 
         monkeypatch.setattr(runner_mod, "monte_carlo_esrc", flaky)
         rows = run_sweep(tiny_plan("[sweep.snr_db]\nvalues = 0, 10, 20\n"))
@@ -395,6 +391,12 @@ class TestCsvOutput:
             esrc_mc=12.3456789123, esrc_stderr=0.0123456789123,
             esrc_analytic=12.3399999999, rel_err=0.000460204,
             alpha_mean=None, gof_pass_rate=None, status="ok",
+        )
+
+    def test_header_is_pinned(self):
+        assert CSV_HEADER == (
+            "snr_db,rho,l_band,m,omega,trials,seed,esrc_mc,esrc_stderr,"
+            "esrc_analytic,rel_err,alpha_mean,gof_pass_rate,status"
         )
 
     def test_header_and_layout(self):
@@ -473,7 +475,7 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
 
     def test_run_failed_point_exits_1(self, tmp_path, monkeypatch):
-        def always_abort(config, trials=None, seed=None):
+        def always_abort(config):
             raise MonteCarloAbort("too many singular draws", 5, 100)
 
         monkeypatch.setattr(runner_mod, "monte_carlo_esrc", always_abort)
@@ -516,3 +518,12 @@ class TestCli:
         assert main(["pdf", "--betas", "-1.0"]) == 2
         assert main(["pdf", "--betas", "1.0", "--points", "4"]) == 2
         assert main(["pdf", "--betas", "1.0", "--grid-max", "100"]) == 2
+
+    @pytest.mark.parametrize("betas", ["1e-300", "1e300"])
+    def test_pdf_unrepresentable_betas_exit_2(self, betas, capsys):
+        # 1e-300 has no capacity grid; 1e300 makes the special functions
+        # fail to converge at 1/beta = 1e-300
+        assert main(["pdf", "--betas", betas, "--points", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

@@ -26,7 +26,7 @@ from scipy.integrate import quad
 from esrc.specfun import (
     LN2,
     NumericalError,
-    _log_tricomi_u1,
+    _log_scaled_gamma,
     exp_scaled_e1,
     invert_laplace,
 )
@@ -90,11 +90,8 @@ def per_user_capacity_quadrature(beta):
 
 def _log_mgf(s, b):
     """log M(s) summed over users; s may be complex (imag parts mod 2*pi*k)."""
-    order = 2.0 + complex(s) / LN2
-    total = 0.0 + 0.0j
-    for beta in b.betas:
-        total += _log_tricomi_u1(order, 1.0 / beta) - np.log(beta)
-    return total
+    nu = 1.0 + complex(s) / LN2  # U(1, 2 + s/ln2, z) = U(1, nu + 1, z)
+    return sum(_log_scaled_gamma(nu, 1.0 / beta) - np.log(beta) for beta in b.betas)
 
 
 def sum_capacity_mgf(s, b):
@@ -173,5 +170,14 @@ def capacity_pdf(b, grid):
         raise ValueError(
             f"grid extends to {pts[-1]:.3g} bits, beyond the supported "
             f"{GRID_MAX_BITS:.0f}"
+        )
+    # the sum capacity exceeds each user's, so the mass below GRID_MAX_BITS
+    # is at most the largest-beta user's; past about 1.8e25 that is below
+    # _TAIL_MASS and the inverted density is round-off
+    beta_max = max(b.betas)
+    if -np.expm1(-np.expm1(LN2 * GRID_MAX_BITS) / beta_max) < _TAIL_MASS:
+        raise ValueError(
+            f"betas up to {beta_max:.3g} leave less than {_TAIL_MASS:g} of the "
+            f"capacity mass below the supported {GRID_MAX_BITS:.0f} bits"
         )
     return invert_laplace(_density_transform(b), pts)

@@ -18,6 +18,7 @@ from esrc.runner import (
     run_sweep,
 )
 from esrc.specfun import LaplaceInversionError, NumericalError
+from esrc.statfit import _MIN_FIT_SAMPLES
 
 
 def _build_parser():
@@ -99,6 +100,11 @@ def _cmd_run(args):
         seed=args.seed,
         allow_extended=args.allow_extended,
     )
+    if args.full_fit and plan.base.trials < _MIN_FIT_SAMPLES:
+        raise ConfigError(
+            f"--full-fit needs at least {_MIN_FIT_SAMPLES} trials per point, "
+            f"got {plan.base.trials}"
+        )
     rows = run_sweep(plan, full_fit=args.full_fit)
     if args.out is None:
         sys.stdout.write(render_csv(rows))

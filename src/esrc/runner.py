@@ -65,8 +65,17 @@ def _band(name, token, n_side):
     return n_side - 1 if token == "full" else _integer(name, token)
 
 
-def _unbounded(name, value, n_side, extended):
-    pass
+def _snr_range(name, value, n_side, extended):
+    # the linear SNR 10^(snr_db/10) overflows above about 3082 dB and
+    # underflows to 0 below about -3236 dB
+    try:
+        linear = 10.0 ** (value / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not (linear > 0.0 and math.isfinite(linear)):
+        raise ValueError(
+            f"snr_db out of range: 10^(snr_db/10) must be a positive finite float, got {value!r}"
+        )
 
 
 def _rho_range(name, value, n_side, extended):
@@ -101,7 +110,7 @@ class Axis(NamedTuple):
 
 
 AXES = {
-    "snr_db": Axis(_real, _unbounded),
+    "snr_db": Axis(_real, _snr_range),
     "rho": Axis(_real, _rho_range),
     "l_band": Axis(_band, _band_range),
     "m": Axis(_real, _positive),

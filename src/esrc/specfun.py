@@ -1,24 +1,27 @@
 """Special functions and numerical Laplace inversion.
 
-Everything downstream of the capacity analysis funnels through a small set
-of classical functions: the upper incomplete gamma function Gamma(s, x),
-the scaled exponential integral e^x * E_1(x), the Tricomi confluent
-hypergeometric function U(1, b, z), and the Gompertz-Makeham density that
-log2(1 + X) follows when X is exponential.  They are implemented here in
-scaled forms so that the capacity formulas stay finite even when the
-per-user SINR scale is far below or above unity.
+Both analytic results of the capacity analysis are one special function:
+the scaled incomplete gamma
 
-Gamma(s, x) uses the textbook split: a lower-series representation when
-x < s + 1 (s > 0), a modified Lentz continued fraction otherwise, and a
-power-series anchor at x = 1 for small x with non-positive s.  The
-continued fraction is evaluated in its scaled form
+    U(1, nu + 1, z) = e^z z^{-nu} Gamma(nu, z),
 
-    Gamma(s, x) = x^s e^{-x} * C(s, x)
+a Tricomi confluent hypergeometric function.  The closed-form capacity
+needs e^x E_1(x) = U(1, 1, x) and the capacity MGF needs U(1, b, z) at
+complex b.  A single engine, _log_scaled_gamma, returns its logarithm for
+complex order nu and real z > 0 and picks one of three kernels:
 
-which makes e^x-scaled quantities (exp_scaled_e1, tricomi_u1) exact
-products with no intermediate overflow.  The order argument extends to
-complex values; that path is used when a capacity transform is evaluated
-on a vertical Bromwich line.
+- the Kummer split Gamma(nu) minus the lower series, when |Im nu| or
+  Re nu reach 2(z + 1), or when Re nu > max(z - 1, 0) away from the
+  pole at nu = 0 (|nu| >= 1/2), where the split would cancel;
+- otherwise a modified Lentz continued fraction, when z >= 0.05 or the
+  order is so negative that |Re nu * ln z| > 700;
+- otherwise a power series about the anchor Gamma(nu, 1).
+
+The continued fraction yields the scaled quantity directly, so e^x E_1(x)
+stays exact far beyond the e^{-x} underflow point.  upper_incomplete_gamma,
+exp_scaled_e1 and tricomi_u1 are exponentials of the engine; the
+Gompertz-Makeham density and the Euler Laplace inversion complete the
+module.
 """
 
 from __future__ import annotations
@@ -80,27 +83,13 @@ def _lentz_cf(s, x):
     )
 
 
-def _lower_series(s, x):
-    """Regularized-style lower series; returns Gamma(s, x) for s > 0, x < s + 1."""
-    term = 1.0 / s
-    total = term
-    n = 0
-    while n < _MAX_SERIES_ITER:
-        n += 1
-        term *= x / (s + n)
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            gamma_s = math.exp(math.lgamma(s))
-            lower = math.exp(s * math.log(x) - x) * total if x > 0 else 0.0
-            return gamma_s - lower
-    raise NumericalError(f"lower incomplete gamma series stalled (s={s!r}, x={x!r})")
-
-
 def _one_minus_power(q, x):
     """(1 - x^q)/q with the q -> 0 limit -ln(x); q may be complex."""
     if q == 0:
-        return -math.log(x) + 0.0j
-    return (1.0 - cmath.exp(q * math.log(x))) / q
+        return -math.log(x)
+    if isinstance(q, complex):
+        return (1.0 - cmath.exp(q * math.log(x))) / q
+    return -math.expm1(q * math.log(x)) / q
 
 
 def _anchor_series(s, x):
@@ -111,8 +100,7 @@ def _anchor_series(s, x):
     which stays well conditioned for any s (including non-positive
     integers, where the n-th term degenerates to -ln x / n!).
     """
-    anchor = _lentz_cf(s, 1.0) * cmath.exp(-1.0)  # Gamma(s,1) = e^{-1} * C(s,1)
-    total = anchor
+    total = _lentz_cf(s, 1.0) * math.exp(-1.0)  # Gamma(s,1) = e^{-1} * C(s,1)
     fact = 1.0
     for n in range(_MAX_SERIES_ITER):
         if n > 0:
@@ -122,6 +110,64 @@ def _anchor_series(s, x):
         if n > 3 and abs(term) < abs(total) * _EPS:
             return total
     raise NumericalError(f"anchor series for Gamma(s, x) stalled (s={s!r}, x={x!r})")
+
+
+def _kummer_log_split(nu, z):
+    """log U(1, nu + 1, z) through Gamma(nu) minus the lower-gamma series.
+
+    The scaled lower part e^z z^{-nu} gamma(nu, z) is the series
+    sum z^n / ((nu)(nu+1)...(nu+n)), which contracts from the first term
+    on when |nu + n| >= 2(z + 1) along the real or the imaginary
+    direction.  All pieces are kept in log space so very large
+    |Re(nu) * ln z| never overflows.
+    """
+    # log of the scaled e^z z^{-nu} Gamma(nu)
+    lg_gamma = complex(_cx_loggamma(complex(nu))) + z - nu * math.log(z)
+    term = 1.0 / nu
+    total = term
+    n = 0
+    while n < _MAX_SERIES_ITER:
+        n += 1
+        term *= z / (nu + n)
+        total += term
+        if abs(term) < abs(total) * _EPS:
+            break
+    else:
+        raise NumericalError(f"lower gamma series stalled (nu={nu!r}, z={z!r})")
+    lg_lower = cmath.log(total)
+    d = lg_lower - lg_gamma
+    if d.real > 36.0:
+        # Gamma(nu) is negligible next to the lower part.
+        return lg_lower + 1j * math.pi + cmath.log(1.0 - cmath.exp(-d))
+    if d.real < -36.0:
+        return lg_gamma - cmath.exp(d)
+    w = 1.0 - cmath.exp(d)
+    if abs(w) < 1e-8:
+        raise NumericalError(
+            f"catastrophic cancellation in Gamma(nu, z) split (nu={nu!r}, z={z!r})"
+        )
+    return lg_gamma + cmath.log(w)
+
+
+def _log_scaled_gamma(nu, z):
+    """log U(1, nu + 1, z) = log(e^z z^{-nu} Gamma(nu, z)), nu complex, z > 0 real.
+
+    The one dispatch among the three kernels (see the module docstring).
+    Any branch of the logarithm may be returned; callers only ever
+    exponentiate sums of these logs.
+    """
+    bound = 2.0 * (z + 1.0)
+    if (
+        abs(nu.imag) >= bound
+        or nu.real >= bound
+        or (nu.real > max(z - 1.0, 0.0) and abs(nu) >= 0.5)
+    ):
+        return _kummer_log_split(nu, z)
+    if z >= 0.05 or abs(nu.real) * abs(math.log(z)) > 700.0:
+        # The continued fraction also covers deeply negative orders at
+        # small z, where the anchor series' z^nu nears the float limit.
+        return cmath.log(_lentz_cf(nu, z))
+    return z - nu * math.log(z) + cmath.log(_anchor_series(nu, z))
 
 
 def upper_incomplete_gamma(s, x):
@@ -137,108 +183,28 @@ def upper_incomplete_gamma(s, x):
         raise ValueError(f"upper_incomplete_gamma requires finite x > 0, got {x!r}")
     if not s > -20.0:
         raise ValueError(f"order s must exceed -20, got {s!r}")
-    if s > 0.0 and x < s + 1.0:
-        return _lower_series(s, x)
-    if x >= 1.0:
-        return math.exp(s * math.log(x) - x) * _lentz_cf(s, x)
-    return _anchor_series(s, x).real
-
-
-def _kummer_log_split(nu, z):
-    """log Gamma(nu, z) through Gamma(nu) minus the lower-gamma series.
-
-    Valid when the series sum z^n / ((nu)(nu+1)...(nu+n)) contracts from
-    the first term on, i.e. |nu + n| >= 2(z + 1) along the real or the
-    imaginary direction.  All pieces are kept in log space so very large
-    |Re(nu) * ln z| never overflows.
-    """
-    lg_gamma = complex(_cx_loggamma(complex(nu)))
-    term = 1.0 / nu
-    total = term
-    n = 0
-    while n < _MAX_SERIES_ITER:
-        n += 1
-        term *= z / (nu + n)
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    else:
-        raise NumericalError(f"lower gamma series stalled (nu={nu!r}, z={z!r})")
-    lg_lower = nu * math.log(z) - z + cmath.log(total)
-    d = lg_lower - lg_gamma
-    if d.real > 36.0:
-        # Gamma(nu) is negligible next to the lower part.
-        return lg_lower + 1j * math.pi + cmath.log(1.0 - cmath.exp(-d))
-    if d.real < -36.0:
-        return lg_gamma - cmath.exp(d)
-    w = 1.0 - cmath.exp(d)
-    if abs(w) < 1e-8:
-        raise NumericalError(
-            f"catastrophic cancellation in Gamma(nu, z) split (nu={nu!r}, z={z!r})"
-        )
-    return lg_gamma + cmath.log(w)
-
-
-def _log_upper_gamma(nu, z):
-    """log Gamma(nu, z) for complex order nu and real z > 0.
-
-    Any branch of the logarithm may be returned; callers only ever
-    exponentiate sums of these logs.
-    """
-    z = float(z)
-    if not z > 0.0:
-        raise ValueError(f"_log_upper_gamma requires z > 0, got {z!r}")
-    nu = complex(nu)
-    if nu.imag == 0.0 and -20.0 < nu.real:
-        value = upper_incomplete_gamma(nu.real, z)
-        if value > 0.0 and math.isfinite(value):
-            return complex(math.log(value))
-        # Out of float range; fall through to the scaled complex paths.
-    bound = 2.0 * (z + 1.0)
-    if abs(nu.imag) >= bound or nu.real >= bound:
-        return _kummer_log_split(nu, z)
-    if z >= 0.05 or abs(nu.real) * abs(math.log(z)) > 500.0:
-        # The continued fraction also covers deeply negative near-real
-        # orders at small z, where |nu| >> z makes it converge in a few
-        # terms and the anchor series would overflow.
-        return nu * math.log(z) - z + cmath.log(_lentz_cf(nu, z))
-    return cmath.log(_anchor_series(nu, z))
+    return math.exp(_log_scaled_gamma(s, x).real + s * math.log(x) - x)
 
 
 def exp_scaled_e1(x):
-    """Scaled exponential integral e^x * E_1(x) = e^x * Gamma(0, x).
+    """Scaled exponential integral e^x * E_1(x) = U(1, 1, x).
 
-    The continued fraction is already the scaled quantity, so arguments
-    far beyond the e^{-x} underflow point (x > 700) are fine.
+    The engine is scaled, so arguments far beyond the e^{-x} underflow
+    point (x > 700) are fine.
     """
     x = float(x)
     if not x > 0.0 or math.isinf(x):
         raise ValueError(f"exp_scaled_e1 requires finite x > 0, got {x!r}")
-    if x >= 1.0:
-        return _lentz_cf(0.0, x)
-    return math.exp(x) * _anchor_series(0.0, x).real
+    return math.exp(_log_scaled_gamma(0.0, x).real)
 
 
 def tricomi_u1(b, z):
-    """Tricomi confluent hypergeometric U(1, b, z) for real b, z > 0.
-
-    Uses the closed form U(1, b, z) = e^z z^{1-b} Gamma(b - 1, z); for
-    z >= 1 the scaled continued fraction gives the product directly.
-    """
+    """Tricomi U(1, b, z) = e^z z^{1-b} Gamma(b - 1, z) for real b, z > 0."""
     b = float(b)
     z = float(z)
     if not z > 0.0 or math.isinf(z):
         raise ValueError(f"tricomi_u1 requires finite z > 0, got {z!r}")
-    if z >= 1.0:
-        return _lentz_cf(b - 1.0, z)
-    return math.exp(z + (1.0 - b) * math.log(z)) * upper_incomplete_gamma(b - 1.0, z)
-
-
-def _log_tricomi_u1(b, z):
-    """log U(1, b, z) for complex b, real z > 0 (branch-agnostic)."""
-    z = float(z)
-    b = complex(b)
-    return z + (1.0 - b) * math.log(z) + _log_upper_gamma(b - 1.0, z)
+    return math.exp(_log_scaled_gamma(b - 1.0, z).real)
 
 
 def gm_pdf(x, lam, kappa):

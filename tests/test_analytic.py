@@ -250,3 +250,11 @@ class TestCapacityPdf:
             capacity_pdf(b, np.array([1.0, 65.0]))
         with pytest.raises(ValueError):
             capacity_pdf(b, np.ones((2, 2)))
+
+    def test_rejects_betas_with_no_mass_below_the_cap(self):
+        # P(C <= 64 bits) <= 1 - exp(-(2^64 - 1)/beta), below 1e-6 past 1.8e25
+        grid = np.linspace(1.0, 8.0, 8)
+        for betas in ([1e300], [1.0, 1e26]):
+            with pytest.raises(ValueError, match="less than 1e-06 of the capacity mass"):
+                capacity_pdf(BetaVector(betas), grid)
+        assert np.all(np.isfinite(capacity_pdf(BetaVector([1e25]), grid)))

@@ -39,7 +39,7 @@ def test_run_csv_bytes(tmp_path, preset, extra, digest):
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--points", "40"], "5929d0163a5d0be70945bb537b83bd0a23674113691f53315d8ad0baee47bd2f"),
+        (["--points", "40"], "db7b22e9d355b4a4961035119747c3ecf1c23ab91467d591d4a841677a46b3ae"),
         (
             ["--grid-max", "8", "--points", "64"],
             "bd452f47b8687b6e090f9208a553eccd6426e2253e88537cbfa69caf6f72c9b0",

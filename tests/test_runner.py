@@ -146,6 +146,11 @@ class TestParseConfig:
             parse_config("[sweep.m]\nvalues = 1, 1\n")
         with pytest.raises(ConfigError, match="empty entry"):
             parse_config("[sweep.m]\nvalues = 1,,2\n")
+        # 4000 dB overflows the linear SNR and -4000 dB underflows it to 0
+        with pytest.raises(ConfigError, match=r"^line 2: snr_db out of range.*got 4000.0$"):
+            parse_config("[sweep.snr_db]\nvalues = 10, 4000\n")
+        with pytest.raises(ConfigError, match=r"^line 3: snr_db out of range.*got -4000.0$"):
+            parse_config("m = 1\n[sweep.snr_db]\nvalues = -4000, 10\n")
 
     def test_document_shape_errors(self):
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
@@ -474,6 +479,18 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_full_fit_below_200_trials_exits_2_before_any_point(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_point_may_run(config):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(runner_mod, "monte_carlo_esrc", no_point_may_run)
+        cfg = self.write_cfg(tmp_path)
+        assert main(["run", "--config", cfg, "--trials", "150", "--full-fit"]) == 2
+        err = capsys.readouterr().err
+        assert "--full-fit needs at least 200 trials per point, got 150" in err
+
     def test_run_failed_point_exits_1(self, tmp_path, monkeypatch):
         def always_abort(config):
             raise MonteCarloAbort("too many singular draws", 5, 100)
@@ -521,8 +538,8 @@ class TestCli:
 
     @pytest.mark.parametrize("betas", ["1e-300", "1e300"])
     def test_pdf_unrepresentable_betas_exit_2(self, betas, capsys):
-        # 1e-300 has no capacity grid; 1e300 makes the special functions
-        # fail to converge at 1/beta = 1e-300
+        # 1e-300 has no capacity grid; 1e300 leaves no capacity mass below
+        # the grid's 64-bit cap
         assert main(["pdf", "--betas", betas, "--points", "8"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

@@ -77,6 +77,9 @@ class TestFitGammaMl:
     def test_rejects_small_or_invalid(self):
         with pytest.raises(ValueError):
             fit_gamma_ml(np.ones(50) * np.arange(1, 51))
+        # the chi-squared gate's floor is the fit's floor
+        with pytest.raises(ValueError, match="fit_gamma_ml needs at least 200 samples, got 150"):
+            fit_gamma_ml(np.arange(1.0, 151.0))
         rng = np.random.default_rng(46)
         bad = rng.gamma(2.0, size=1000)
         bad[17] = -1.0

@@ -12,7 +12,6 @@ from esrc.analytic import (
     default_capacity_grid,
     esrc_closed_form,
     mgf_mean_check,
-    per_user_capacity_quadrature,
     sum_capacity_mgf,
 )
 from esrc.channel import (
@@ -43,10 +42,7 @@ from esrc.specfun import (
     LaplaceInversionError,
     NumericalError,
     exp_scaled_e1,
-    gm_pdf,
     invert_laplace,
-    tricomi_u1,
-    upper_incomplete_gamma,
 )
 from esrc.statfit import (
     FitConvergenceError,
@@ -94,14 +90,12 @@ __all__ = [
     "exp_scaled_e1",
     "fit_exponential",
     "fit_gamma_ml",
-    "gm_pdf",
     "invert_laplace",
     "ks_gof",
     "matrix_sqrt",
     "mgf_mean_check",
     "monte_carlo_esrc",
     "parse_config",
-    "per_user_capacity_quadrature",
     "point_seed",
     "psd_check",
     "run_sweep",
@@ -109,8 +103,6 @@ __all__ = [
     "sample_nakagami_component",
     "sum_capacity_mgf",
     "sum_rate",
-    "tricomi_u1",
-    "upper_incomplete_gamma",
     "zf_sinr",
 ]
 

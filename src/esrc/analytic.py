@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from esrc.specfun import (
     LN2,
@@ -67,25 +66,6 @@ def esrc_closed_form(b):
             raise NumericalError(f"capacity term is not finite for beta={beta!r}")
         total += term
     return total / LN2
-
-
-def per_user_capacity_quadrature(beta):
-    """Independent oracle: int_0^inf log2(1 + beta*u) e^{-u} du by quadrature."""
-    if not (beta > 0.0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
-    value, abserr = quad(
-        lambda u: np.log1p(beta * u) * np.exp(-u),
-        0.0,
-        np.inf,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=200,
-    )
-    if abserr > 1e-9 * max(1.0, abs(value)):
-        raise NumericalError(
-            f"quadrature error estimate {abserr:.2e} too large for beta={beta!r}"
-        )
-    return value / LN2
 
 
 def _log_mgf(s, b):

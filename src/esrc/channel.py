@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+
 
 @dataclass(frozen=True)
 class FadingParams:
@@ -64,16 +64,6 @@ def sample_nakagami_component(params, rng, size=None):
     g = rng.standard_gamma(0.5 * params.m, size=size) * (params.omega / params.m)
     sign = 2.0 * rng.integers(0, 2, size=size) - 1.0
     return sign * np.sqrt(g)
-
-
-def nakagami_component_pdf(x, params):
-    """Density of one quadrature: |x|^(m-1) exp(-m x^2 / omega), normalized."""
-    m, omega = params.m, params.omega
-    x = np.asarray(x, dtype=float)
-    log_norm = 0.5 * m * np.log(m / omega) - gammaln(0.5 * m)
-    with np.errstate(divide="ignore"):
-        log_pdf = log_norm + (m - 1.0) * np.log(np.abs(x)) - m * x * x / omega
-    return np.exp(log_pdf)
 
 
 def sample_channel_matrix(n_r, n_t, params, rng):

@@ -18,10 +18,9 @@ complex order nu and real z > 0 and picks one of three kernels:
 - otherwise a power series about the anchor Gamma(nu, 1).
 
 The continued fraction yields the scaled quantity directly, so e^x E_1(x)
-stays exact far beyond the e^{-x} underflow point.  upper_incomplete_gamma,
-exp_scaled_e1 and tricomi_u1 are exponentials of the engine; the
-Gompertz-Makeham density and the Euler Laplace inversion complete the
-module.
+stays exact far beyond the e^{-x} underflow point.  exp_scaled_e1 is the
+engine's exponential at nu = 0, and the Euler Laplace inversion completes
+the module.
 """
 
 from __future__ import annotations
@@ -170,22 +169,6 @@ def _log_scaled_gamma(nu, z):
     return z - nu * math.log(z) + cmath.log(_anchor_series(nu, z))
 
 
-def upper_incomplete_gamma(s, x):
-    """Upper incomplete gamma Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt.
-
-    Supports any real order s > -20 (negative and zero included) and
-    x > 0.  Relative accuracy is at the 1e-12 level over x in
-    [1e-6, 700] for moderate orders.
-    """
-    s = float(s)
-    x = float(x)
-    if not x > 0.0 or math.isinf(x):
-        raise ValueError(f"upper_incomplete_gamma requires finite x > 0, got {x!r}")
-    if not s > -20.0:
-        raise ValueError(f"order s must exceed -20, got {s!r}")
-    return math.exp(_log_scaled_gamma(s, x).real + s * math.log(x) - x)
-
-
 def exp_scaled_e1(x):
     """Scaled exponential integral e^x * E_1(x) = U(1, 1, x).
 
@@ -196,42 +179,6 @@ def exp_scaled_e1(x):
     if not x > 0.0 or math.isinf(x):
         raise ValueError(f"exp_scaled_e1 requires finite x > 0, got {x!r}")
     return math.exp(_log_scaled_gamma(0.0, x).real)
-
-
-def tricomi_u1(b, z):
-    """Tricomi U(1, b, z) = e^z z^{1-b} Gamma(b - 1, z) for real b, z > 0."""
-    b = float(b)
-    z = float(z)
-    if not z > 0.0 or math.isinf(z):
-        raise ValueError(f"tricomi_u1 requires finite z > 0, got {z!r}")
-    return math.exp(_log_scaled_gamma(b - 1.0, z).real)
-
-
-def gm_pdf(x, lam, kappa):
-    """Gompertz-Makeham style density lam*kappa*e^{lam x}*exp(kappa - kappa e^{lam x}).
-
-    This is the law of log(1 + X)/lam' for exponential X; with
-    lam = ln 2 and kappa the inverse SINR scale it is the single-user
-    capacity density.  Accepts scalars or arrays for x >= 0.
-    """
-    if not (lam > 0.0 and kappa > 0.0):
-        raise ValueError(f"gm_pdf requires lam > 0 and kappa > 0, got {lam!r}, {kappa!r}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("gm_pdf is supported on x >= 0")
-    t = lam * arr
-    # log density; exp(t) can overflow for absurd x, where the density is 0
-    with np.errstate(over="ignore"):
-        growth = np.exp(t)
-    log_pdf = np.where(
-        np.isfinite(growth),
-        math.log(lam) + math.log(kappa) + t + kappa - kappa * growth,
-        -np.inf,
-    )
-    out = np.exp(log_pdf)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 # Abate-Whitt Euler summation (INFORMS J. Computing 18(4), 2006): transform

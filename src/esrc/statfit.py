@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, polygamma, psi
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtri, gammainc, polygamma, psi
 
 N_BINS = 20
 # significance level of both goodness-of-fit gates
@@ -134,6 +133,14 @@ def fit_gamma_ml(samples):
     )
 
 
+def chi2_threshold(dof):
+    """Chi-squared critical value at GOF_LEVEL for dof degrees of freedom."""
+    # scipy.stats' chi2.ppf(1 - GOF_LEVEL) inverts the rounded upper tail
+    # 1 - (1 - GOF_LEVEL); chdtri on that same tail matches it bit for bit,
+    # where chdtri(dof, GOF_LEVEL) differs in the last place for most dofs
+    return float(chdtri(dof, 1.0 - (1.0 - GOF_LEVEL)))
+
+
 def chi_square_gof(samples, cdf, fitted_param_count):
     """Pearson test at GOF_LEVEL on N_BINS equiprobable bins under the fitted cdf."""
     x = _validate_samples(samples, _MIN_FIT_SAMPLES, "chi_square_gof")
@@ -146,8 +153,7 @@ def chi_square_gof(samples, cdf, fitted_param_count):
     u = np.clip(np.asarray(cdf(x), dtype=float), 0.0, 1.0)
     observed, _ = np.histogram(u, bins=N_BINS, range=(0.0, 1.0))
     stat = float(np.sum((observed - expected) ** 2 / expected))
-    threshold = float(chi2_dist.ppf(1.0 - GOF_LEVEL, dof))
-    return ChiSquareResult(stat=stat, dof=dof, passed=stat < threshold)
+    return ChiSquareResult(stat=stat, dof=dof, passed=stat < chi2_threshold(dof))
 
 
 def ks_threshold(n):

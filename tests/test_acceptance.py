@@ -20,7 +20,6 @@ from esrc.analytic import (
     default_capacity_grid,
     esrc_closed_form,
     mgf_mean_check,
-    per_user_capacity_quadrature,
     sum_capacity_mgf,
 )
 from esrc.channel import FadingParams, SemiCorrelationMode, sample_nakagami_component
@@ -28,9 +27,10 @@ from esrc.cli import main
 from esrc.config import SystemConfig
 from esrc.correlation import CorrelationSpec
 from esrc.runner import SweepPlan, run_sweep
-from esrc.specfun import LN2, gm_pdf
+from esrc.specfun import LN2
 from esrc.statfit import fit_gamma_ml
 from esrc.zf import monte_carlo_esrc
+from oracles import gm_pdf, per_user_capacity_quadrature
 
 TRIALS = 100_000
 FIG_SEED = 2468

@@ -11,10 +11,10 @@ from esrc.analytic import (
     default_capacity_grid,
     esrc_closed_form,
     mgf_mean_check,
-    per_user_capacity_quadrature,
     sum_capacity_mgf,
 )
-from esrc.specfun import LN2, NumericalError, gm_pdf
+from esrc.specfun import LN2, NumericalError
+from oracles import gm_pdf, per_user_capacity_quadrature
 
 ORACLE_BETAS = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 
@@ -239,6 +239,18 @@ class TestCapacityPdf:
             assert 0.999 <= mass <= 1.001
             mean = np.trapezoid(grid * dens, grid)
             assert mean == pytest.approx(esrc_closed_form(b), rel=1e-2)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NumericalError,
+        reason="at t = 1e-100 the real Euler node nu = -1.3e101 at z = 0.5 goes to "
+        "the continued fraction, which does not converge",
+    )
+    def test_tiny_point_approaches_the_origin_value(self):
+        # one user's density is ln2/beta * 2^t exp(-(2^t - 1)/beta), so ln2/2
+        # at t -> 0; t = 1e-20 and 1e-250 give it
+        got = capacity_pdf(BetaVector([2.0]), np.array([1e-100]))
+        assert got[0] == pytest.approx(LN2 / 2.0, rel=1e-6)
 
     def test_rejects_bad_grids(self):
         b = BetaVector([1.0])

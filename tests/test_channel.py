@@ -9,11 +9,11 @@ from esrc.channel import (
     FadingParams,
     SemiCorrelationMode,
     compose_channel,
-    nakagami_component_pdf,
     sample_channel_matrix,
     sample_nakagami_component,
 )
 from esrc.correlation import CorrelationSpec, build_banded_correlation, matrix_sqrt
+from oracles import nakagami_component_pdf
 
 
 def component_cdf(x, params):

@@ -7,12 +7,29 @@ instance) re-pins the digests and says why in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import esrc
 from esrc.cli import main
 
 BETAS_10DB = "9.18,8.36,8.41,8.35,8.36,8.34,8.31,9.14"
+
+# the benchmark's wide point: the one golden that sends 32 users through
+# the chi-squared gate
+WIDE_CONFIG = """\
+n_t = 32
+n_r = 64
+side = receive
+snr_db = 10
+rho = 0.3
+l_band = full
+m = 0.7
+"""
 
 
 @pytest.mark.parametrize(
@@ -49,4 +66,25 @@ def test_run_csv_bytes(tmp_path, preset, extra, digest):
 def test_pdf_table_bytes(tmp_path, extra, digest):
     out = tmp_path / "pdf.dat"
     assert main(["pdf", "--betas", BETAS_10DB, *extra, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_wide_full_fit_csv_bytes(tmp_path):
+    # a child process, so that BLAS runs single-threaded: unpinned threads
+    # make this point take about ten times as long on two cores
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(WIDE_CONFIG)
+    out = tmp_path / "out.csv"
+    argv = ["run", "--config", str(cfg), "--trials", "2500", "--seed", "7", "--full-fit"]
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(esrc.__file__).resolve().parents[1]),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    subprocess.run(
+        [sys.executable, "-m", "esrc.cli", *argv, "--out", str(out)], env=env, check=True
+    )
+    digest = "5870ca95d426533e009255c0a5425289d2153cf5e26bb18bfe83fae24b5b765e"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,12 +1,17 @@
 """Sweep planning, per-point seeding, CSV output, and the CLI surface."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import esrc
 import esrc.runner as runner_mod
 from esrc.channel import FadingParams, SemiCorrelationMode
 from esrc.cli import main
@@ -26,6 +31,8 @@ from esrc.runner import (
 )
 from esrc.specfun import NumericalError
 from esrc.zf import MonteCarloAbort
+
+SRC_DIR = str(Path(esrc.__file__).resolve().parents[1])
 
 
 def tiny_doc(extra=""):
@@ -444,6 +451,18 @@ class TestCsvOutput:
 
 
 class TestCli:
+    def test_import_loads_no_unused_scipy_subpackage(self):
+        # every invocation pays for what `import esrc.cli` loads
+        code = (
+            "import sys, esrc.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
     def write_cfg(self, tmp_path, extra=""):
         path = tmp_path / "sweep.cfg"
         path.write_text(tiny_doc(extra))

@@ -21,11 +21,9 @@ from esrc.specfun import (
     NumericalError,
     _log_scaled_gamma,
     exp_scaled_e1,
-    gm_pdf,
     invert_laplace,
-    tricomi_u1,
-    upper_incomplete_gamma,
 )
+from oracles import gm_pdf, tricomi_u1, upper_incomplete_gamma
 
 
 def quad_upper_gamma(s, x):

@@ -5,8 +5,10 @@ import pytest
 from scipy import stats
 
 from esrc.statfit import (
+    GOF_LEVEL,
     FitConvergenceError,
     GammaFit,
+    chi2_threshold,
     chi_square_gof,
     fit_exponential,
     fit_gamma_ml,
@@ -147,6 +149,15 @@ class TestChiSquareGof:
     def test_rejects_small_sample(self):
         with pytest.raises(ValueError):
             chi_square_gof(np.linspace(0.1, 1.0, 199), expon_cdf(1.0), 0)
+
+    def test_threshold_equals_scipy_stats_exactly(self):
+        # a threshold one ulp off could flip a gate whose statistic sits on it
+        off = [
+            dof
+            for dof in range(1, 40)
+            if chi2_threshold(dof) != stats.chi2.ppf(1.0 - GOF_LEVEL, dof)
+        ]
+        assert off == []
 
 
 class TestKsGof:

@@ -18,21 +18,28 @@ methods such as fixed Talbot dive left and diverge on this family).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from esrc.specfun import (
+    EULER_NODES,
     LN2,
     NumericalError,
     _log_scaled_gamma,
-    exp_scaled_e1,
     invert_laplace,
 )
 
 GRID_MAX_BITS = 64.0
+# below this the Euler nodes s = (A/2 + i k pi)/t of a grid point, or the
+# orders nu = 1 - s/ln2 they give, leave the float range (near 1.4e-306)
+GRID_MIN_BITS = 1e-305
 _TAIL_MASS = 1e-6
 _MGF_STEP = 1e-4
+# (user, Euler node) pairs per transform call; the engine holds about 60
+# bytes per pair, so one call stays near 16 MB however long the grid
+_PAIRS_PER_CALL = 2**18
 
 
 @dataclass(frozen=True)
@@ -56,22 +63,24 @@ class BetaVector:
 
 def esrc_closed_form(b):
     """Mean sum capacity sum_k e^{1/beta_k} E_1(1/beta_k) / ln 2, in bits/s/Hz."""
+    z = [1.0 / beta for beta in b.betas]
+    for beta, zk in zip(b.betas, z):
+        if math.isinf(zk):
+            raise NumericalError(f"capacity term failed for beta={beta!r}")
     total = 0.0
-    for beta in b.betas:
-        try:
-            term = exp_scaled_e1(1.0 / beta)
-        except (ArithmeticError, ValueError, OverflowError) as exc:
-            raise NumericalError(f"capacity term failed for beta={beta!r}") from exc
-        if not np.isfinite(term):
+    for beta, log_term in zip(b.betas, _log_scaled_gamma(0.0, z)):
+        term = math.exp(log_term.real)
+        if not math.isfinite(term):
             raise NumericalError(f"capacity term is not finite for beta={beta!r}")
         total += term
     return total / LN2
 
 
 def _log_mgf(s, b):
-    """log M(s) summed over users; s may be complex (imag parts mod 2*pi*k)."""
-    nu = 1.0 + complex(s) / LN2  # U(1, 2 + s/ln2, z) = U(1, nu + 1, z)
-    return sum(_log_scaled_gamma(nu, 1.0 / beta) - np.log(beta) for beta in b.betas)
+    """log M(s) summed over users, elementwise on an array of s (complex allowed)."""
+    betas = np.array(b.betas)
+    nu = 1.0 + np.asarray(s) / LN2  # U(1, 2 + s/ln2, z) = U(1, nu + 1, z)
+    return np.sum(_log_scaled_gamma(nu, 1.0 / betas), axis=0) - np.sum(np.log(betas))
 
 
 def sum_capacity_mgf(s, b):
@@ -99,7 +108,7 @@ def mgf_mean_check(b):
 
 
 def _density_transform(b):
-    """Laplace transform of the capacity density: L(s) = M(-s), complex-capable.
+    """Laplace transform of the capacity density: L(s) = M(-s), on an array of complex s.
 
     The Euler inversion nodes have large positive real parts, so L is
     evaluated deep in M's left half-plane through the log-space
@@ -107,7 +116,7 @@ def _density_transform(b):
     """
 
     def transform(s):
-        return complex(np.exp(_log_mgf(-complex(s), b)))
+        return np.exp(_log_mgf(-s, b))
 
     return transform
 
@@ -146,6 +155,10 @@ def capacity_pdf(b, grid):
         raise ValueError("grid must be a non-empty 1-d array")
     if not (np.all(pts > 0.0) and np.all(np.diff(pts) > 0.0)):
         raise ValueError("grid must be strictly positive and ascending")
+    if pts[0] < GRID_MIN_BITS:
+        raise ValueError(
+            f"grid starts at {pts[0]:.3g} bits, below the supported {GRID_MIN_BITS:g}"
+        )
     if pts[-1] > GRID_MAX_BITS:
         raise ValueError(
             f"grid extends to {pts[-1]:.3g} bits, beyond the supported "
@@ -160,4 +173,8 @@ def capacity_pdf(b, grid):
             f"betas up to {beta_max:.3g} leave less than {_TAIL_MASS:g} of the "
             f"capacity mass below the supported {GRID_MAX_BITS:.0f} bits"
         )
-    return invert_laplace(_density_transform(b), pts)
+    transform = _density_transform(b)
+    block = max(1, _PAIRS_PER_CALL // (EULER_NODES * b.n_users))
+    return np.concatenate(
+        [invert_laplace(transform, pts[i : i + block]) for i in range(0, pts.size, block)]
+    )

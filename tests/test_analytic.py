@@ -1,20 +1,31 @@
 """Tests for the closed-form capacity, its MGF, and the inverted density."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
+from esrc import analytic
 from esrc.analytic import (
     BetaVector,
+    _density_transform,
     capacity_pdf,
     default_capacity_grid,
     esrc_closed_form,
     mgf_mean_check,
     sum_capacity_mgf,
 )
-from esrc.specfun import LN2, NumericalError
-from oracles import gm_pdf, per_user_capacity_quadrature
+from esrc.specfun import EULER_A, EULER_NODES, LN2, NumericalError
+from oracles import (
+    gm_pdf,
+    per_user_capacity_quadrature,
+    scalar_density_transform,
+    scalar_invert_laplace,
+)
 
 ORACLE_BETAS = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 
@@ -240,22 +251,34 @@ class TestCapacityPdf:
             mean = np.trapezoid(grid * dens, grid)
             assert mean == pytest.approx(esrc_closed_form(b), rel=1e-2)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=NumericalError,
-        reason="at t = 1e-100 the real Euler node nu = -1.3e101 at z = 0.5 goes to "
-        "the continued fraction, which does not converge",
-    )
     def test_tiny_point_approaches_the_origin_value(self):
         # one user's density is ln2/beta * 2^t exp(-(2^t - 1)/beta), so ln2/2
         # at t -> 0; t = 1e-20 and 1e-250 give it
         got = capacity_pdf(BetaVector([2.0]), np.array([1e-100]))
         assert got[0] == pytest.approx(LN2 / 2.0, rel=1e-6)
 
+    def test_tiny_points_match_the_closed_form(self):
+        # t = 10^-e, e = 1, 4, ..., 304: the real Euler node nu = 1 - A/(2t ln 2)
+        # reaches -1.3e305 and the complex ones |nu| of 2.5e306
+        grid = 10.0 ** -np.arange(304, 0, -3)
+        got = capacity_pdf(BetaVector([2.0]), grid)
+        np.testing.assert_allclose(got, gm_pdf(grid, LN2, 0.5), rtol=1e-6, atol=0.0)
+
+    def test_long_grid_runs_in_blocks_with_the_same_values(self, monkeypatch):
+        b = BetaVector([1.0, 3.0])
+        grid = np.linspace(0.1, 12.0, 20)
+        whole = capacity_pdf(b, grid)
+        # three grid points per transform call
+        monkeypatch.setattr(analytic, "_PAIRS_PER_CALL", 3 * EULER_NODES * 2)
+        assert np.array_equal(capacity_pdf(b, grid), whole)
+
     def test_rejects_bad_grids(self):
         b = BetaVector([1.0])
         with pytest.raises(ValueError):
             capacity_pdf(b, np.array([0.0, 1.0]))
+        # the Euler nodes of t = 1e-307 overflow
+        with pytest.raises(ValueError, match="below the supported 1e-305"):
+            capacity_pdf(b, np.array([1e-307, 1.0]))
         with pytest.raises(ValueError):
             capacity_pdf(b, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
@@ -270,3 +293,44 @@ class TestCapacityPdf:
             with pytest.raises(ValueError, match="less than 1e-06 of the capacity mass"):
                 capacity_pdf(BetaVector(betas), grid)
         assert np.all(np.isfinite(capacity_pdf(BetaVector([1e25]), grid)))
+
+
+def _check_against_scalar_engine(b, grid):
+    """The array transform and density against the scalar engine they replaced.
+
+    Transform values agree to 1e-12 relative.  The Euler sum weighs each
+    node by at most e^{A/2}/t, so the densities then agree to 1e-12 times
+    e^{A/2}/t * sum_k |L(s_k)| at each point; on the criterion 8 grids that
+    is up to 1e-10 of the peak density at t near 1e-4.
+    """
+    nodes = np.empty((grid.size, EULER_NODES), dtype=complex)
+    nodes.real = (EULER_A / (2.0 * grid))[:, None]
+    nodes.imag = np.arange(EULER_NODES) * math.pi / grid[:, None]
+    got = _density_transform(b)(nodes)
+    scalar = scalar_density_transform(b)
+    ref = np.array([[scalar(s) for s in row] for row in nodes])
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    bound = 1e-12 * math.exp(EULER_A / 2.0) / grid * np.sum(np.abs(ref), axis=1)
+    dens = capacity_pdf(b, grid)
+    assert np.all(np.abs(dens - scalar_invert_laplace(scalar, grid)) <= bound)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(st.floats(min_value=-3.0, max_value=8.0), min_size=1, max_size=8))
+def test_array_engine_matches_scalar_engine(log10_betas):
+    b = BetaVector(10.0 ** np.array(log10_betas))
+    _check_against_scalar_engine(b, default_capacity_grid(b, points=8))
+
+
+# criterion 8's grids: from 1e-4 to the automatic upper edge, and the
+# two-user convolution grid
+@pytest.mark.parametrize(
+    "betas, points", [([0.5], 500), ([1.0], 500), ([5.0], 500), ([1.0, 1.0], 600)]
+)
+def test_array_engine_matches_scalar_engine_on_criterion_8_wide_grids(betas, points):
+    b = BetaVector(betas)
+    _check_against_scalar_engine(b, np.linspace(1e-4, default_capacity_grid(b)[-1], points))
+
+
+def test_array_engine_matches_scalar_engine_on_criterion_8_pair_grid():
+    _check_against_scalar_engine(BetaVector([1.0, 1.0]), np.linspace(0.05, 10.0, 160))

@@ -29,7 +29,7 @@ from esrc.runner import (
     render_csv,
     run_sweep,
 )
-from esrc.specfun import NumericalError
+from esrc.specfun import LN2, NumericalError
 from esrc.zf import MonteCarloAbort
 
 SRC_DIR = str(Path(esrc.__file__).resolve().parents[1])
@@ -455,7 +455,8 @@ class TestCli:
         # every invocation pays for what `import esrc.cli` loads
         code = (
             "import sys, esrc.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'mpmath') "
+            "if m in sys.modules))"
         )
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
         done = subprocess.run(
@@ -548,6 +549,14 @@ class TestCli:
         ) == 0
         last = out.read_text().splitlines()[-1]
         assert float(last.split()[0]) == pytest.approx(8.0)
+
+    def test_pdf_tiny_grid_max(self, tmp_path):
+        # one user's density is ln2/beta at the origin
+        out = tmp_path / "pdf.dat"
+        argv = ["pdf", "--betas", "2", "--points", "8", "--grid-max", "1e-100"]
+        assert main(argv + ["--out", str(out)]) == 0
+        density = [float(line.split()[1]) for line in out.read_text().splitlines()[1:]]
+        assert density == pytest.approx([LN2 / 2.0] * 8, rel=1e-6)
 
     def test_pdf_rejects_bad_input(self):
         assert main(["pdf", "--betas", "1.0,,2"]) == 2

@@ -8,6 +8,7 @@ never call the code under test) and then pinned as literals.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,15 +16,23 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
+from esrc.analytic import BetaVector, default_capacity_grid
 from esrc.specfun import (
+    EULER_A,
+    EULER_NODES,
     LN2,
     LaplaceInversionError,
-    NumericalError,
     _log_scaled_gamma,
     exp_scaled_e1,
     invert_laplace,
 )
-from oracles import gm_pdf, tricomi_u1, upper_incomplete_gamma
+from oracles import (
+    gm_pdf,
+    scalar_invert_laplace,
+    scalar_log_scaled_gamma,
+    tricomi_u1,
+    upper_incomplete_gamma,
+)
 
 
 def quad_upper_gamma(s, x):
@@ -153,6 +162,19 @@ class TestTricomiU1:
     def test_large_z_scaled(self):
         assert math.isfinite(tricomi_u1(1.5, 2000.0))
 
+    # orders -3.7 <= b - 1 < 0 at z where |(b - 1) ln z| > 700, frozen from
+    # mpmath.hyperu(1, b, z) at mpmath.mp.dps = 30; U(1, b, z) -> 1/(1 - b)
+    @pytest.mark.parametrize(
+        "b, z, expected",
+        [
+            (-1.5, 1e-200, 0.4),
+            (-1.0, 1e-200, 0.5),
+            (0.03125, 5e-324, 1.0322580645161290),
+        ],
+    )
+    def test_tiny_z_frozen(self, b, z, expected):
+        assert math.isclose(tricomi_u1(b, z), expected, rel_tol=1e-12)
+
 
 class TestScaledGammaEngine:
     # Gamma(nu, z) at Euler-line nodes nu = 1 - (A/(2t) + i k pi/t)/ln 2 of
@@ -183,6 +205,40 @@ class TestScaledGammaEngine:
     def test_frozen_euler_nodes(self, nu, z, expected):
         got = cmath.exp(_log_scaled_gamma(nu, z) + nu * math.log(z) - z)
         assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    def test_array_matches_frozen_nodes_in_one_call(self):
+        # every kernel's share of one array, one row per z
+        nu = np.array([node[0] for node in self.NODES])
+        z = sorted({node[1] for node in self.NODES})
+        got = _log_scaled_gamma(nu, np.array(z))
+        assert got.shape == (len(z), len(self.NODES))
+        for col, (node_nu, node_z, expected) in enumerate(self.NODES):
+            row = z.index(node_z)
+            value = cmath.exp(got[row, col] + node_nu * math.log(node_z) - node_z)
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    def test_pdf_10db_nodes_against_mpmath(self):
+        # 300 (point, node, user) triples of the benchmark's 40-point table,
+        # drawn with seed 7; the bound is the scalar engine's worst error on
+        # the same triples (2.7e-13, at a continued-fraction node)
+        betas = np.array([9.18, 8.36, 8.41, 8.35, 8.36, 8.34, 8.31, 9.14])
+        grid = default_capacity_grid(BetaVector(betas), points=40)
+        k = np.arange(EULER_NODES)
+        s = (EULER_A / (2.0 * grid))[:, None] + 1j * (k * math.pi / grid[:, None])
+        nu = (1.0 - s / LN2).ravel()
+        z = 1.0 / betas
+        got = _log_scaled_gamma(nu, z)
+        pick = np.random.default_rng(7).choice(got.size, 300, replace=False)
+        worst = worst_scalar = 0.0
+        with mpmath.workdps(30):
+            for row, col in zip(*np.unravel_index(pick, got.shape)):
+                x = mpmath.mpf(z[row])
+                order = mpmath.mpc(nu[col])
+                ref = mpmath.log(mpmath.gammainc(order, x)) + x - order * mpmath.log(x)
+                old = scalar_log_scaled_gamma(complex(nu[col]), float(z[row]))
+                worst = max(worst, float(abs(mpmath.exp(got[row, col] - ref) - 1)))
+                worst_scalar = max(worst_scalar, float(abs(mpmath.exp(old - ref) - 1)))
+        assert worst <= worst_scalar
 
 
 class TestGmPdf:
@@ -242,6 +298,18 @@ class TestInvertLaplace:
             invert_laplace(lambda s: float("nan"), np.array([1.0]))
         assert exc.value.node is not None
 
+    def test_matches_the_scalar_summation_exactly(self):
+        # same node values in, same bits out: only the loop became arrays
+        grid = np.linspace(0.05, 12.0, 37)
+
+        def transform(s):
+            s = np.asarray(s)  # numpy arithmetic for the scalar nodes too
+            return np.log1p(s) / (s * s + 2.0)
+
+        assert np.array_equal(
+            invert_laplace(transform, grid), scalar_invert_laplace(transform, grid)
+        )
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             invert_laplace(lambda s: 1.0 / s, np.array([0.0, 1.0]))
@@ -250,9 +318,7 @@ class TestInvertLaplace:
 
 
 # Oracle properties against scipy.special, each over the domain its
-# docstring promises and only where the scipy value is a normal float.  The
-# xfail marker names a counterexample checked against mpmath at 40 digits;
-# it is a defect of the code under test, not of the oracle.
+# docstring promises and only where the scipy value is a normal float.
 ORACLE_SETTINGS = settings(
     derandomize=True, max_examples=300, deadline=None, report_multiple_bugs=False
 )
@@ -284,12 +350,6 @@ def test_upper_incomplete_gamma_matches_scipy(s, x):
     assert math.isclose(upper_incomplete_gamma(s, x), ref, rel_tol=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NumericalError,
-    reason="U(1, 0.03125, 5e-324) raises NumericalError (true value 1.0323): the "
-    "continued fraction stalls at tiny z for orders -2 <= b - 1 < 0",
-)
 @ORACLE_SETTINGS
 @given(
     b=st.floats(min_value=-50.0, max_value=50.0),

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 import esrc.zf
+from esrc.analytic import BetaVector, esrc_closed_form
 from esrc.channel import FadingParams, SemiCorrelationMode
 from esrc.config import SystemConfig
-from esrc.correlation import CorrelationSpec
+from esrc.correlation import CorrelationSpec, build_banded_correlation
 from esrc.zf import (
     EsrcResult,
     MonteCarloAbort,
@@ -224,3 +226,33 @@ class TestMonteCarloEsrc:
         cfg = make_config(trials=10)
         with pytest.raises(MonteCarloAbort, match="stayed singular"):
             monte_carlo_esrc(cfg)
+
+
+class TestExactLawOracle:
+    """At m = 1 with transmit correlation R and n_r = n_t, SINR_k is exactly
+    beta_k X with X ~ Exp(1) and beta_k = snr / [R^-1]_kk (the Wishart
+    quadratic-form law: Muirhead 1982, Thm 3.2.12; Gore, Heath & Paulraj,
+    IEEE Commun. Lett. 6(11), 2002).  So esrc_closed_form on those betas is
+    the exact ESRC, with no fitting in between."""
+
+    TRIALS = 5000
+    SEED = 3
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=8),
+        rho=st.floats(min_value=0.0, max_value=0.5),
+        band=st.integers(min_value=0, max_value=7),
+    )
+    def test_transmit_m1_matches_the_exact_law(self, n, rho, band):
+        spec = CorrelationSpec(n=n, rho=rho, l_band=min(band, n - 1))
+        r = build_banded_correlation(spec)
+        assume(np.linalg.eigvalsh(r)[0] > 1e-3)
+        cfg = make_config(n_t=n, n_r=n, correlation=spec, trials=self.TRIALS, seed=self.SEED)
+        result, sset = monte_carlo_esrc(cfg)
+        betas = cfg.snr_linear / np.diagonal(np.linalg.inv(r))
+        exact = esrc_closed_form(BetaVector(betas))
+        assert abs(result.esrc_mc - exact) < 4.0 * result.std_err, (result, exact)
+        for k in range(n):
+            p = stats.kstest(sset.samples[k] / betas[k], "expon").pvalue
+            assert p > 0.01 / n, (k, p)

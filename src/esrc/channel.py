@@ -4,8 +4,11 @@ Each quadrature component of a channel coefficient follows the symmetric
 power-of-Gaussian density proportional to |h|^(m-1) exp(-m h^2 / omega),
 normalized by m^(m/2) / (omega^(m/2) Gamma(m/2)).  Squaring that variable
 gives Gamma(shape m/2, scale omega/m), so sampling reduces to a gamma
-draw, a square root, and a fair sign: exact for every m > 0, including
-the heavy-fading m < 1 regime where rejection-style samplers need care.
+draw, a square root, and a fair sign.  The gamma draw is boosted:
+Gamma(a + 1) U^(1/a) ~ Gamma(a) for U uniform on (0, 1), and with
+V uniform on (-1, 1) the pair |V|, sign(V) gives U and the sign
+independently.  That is exact for every m > 0 and keeps numpy on its
+fast shape >= 1 gamma path, including the heavy-fading m < 1 regime.
 
 The two quadratures are drawn independently, so E[h_I^2] = E[h_Q^2] =
 omega/2 and the complex coefficient has average power E[|h|^2] = omega.
@@ -56,39 +59,62 @@ def _require_generator(rng):
 
 
 def sample_nakagami_component(params, rng, size=None):
-    """Draw h = sign * sqrt(g) with g ~ Gamma(m/2, omega/m).
+    """Draw h = sign(V) sqrt(G |V|^(2/m) omega/m), G ~ Gamma(m/2 + 1), V ~ U(-1, 1).
 
-    Gives E[h] = 0 and E[h^2] = omega/2 for every valid (m, omega).
+    h^2 ~ Gamma(m/2, omega/m), so E[h] = 0 and E[h^2] = omega/2 for every
+    valid (m, omega).  G comes from rng and V from rng's stream jumped
+    2^128 draws ahead, each filled in C order: the first k values of
+    either do not depend on how many are drawn, so a smaller draw is a
+    prefix of a larger one.
     """
     _require_generator(rng)
-    g = rng.standard_gamma(0.5 * params.m, size=size) * (params.omega / params.m)
-    sign = 2.0 * rng.integers(0, 2, size=size) - 1.0
-    return sign * np.sqrt(g)
+    uniform = np.random.Generator(rng.bit_generator.jumped())
+    a = 0.5 * params.m
+    g = rng.standard_gamma(a + 1.0, size=size)
+    v = uniform.uniform(-1.0, 1.0, size=size)
+    boost = np.abs(v)
+    np.power(boost, 1.0 / a, out=boost)
+    boost *= params.omega / params.m
+    g *= boost
+    np.sqrt(g, out=g)
+    return np.copysign(g, v, out=g)
 
 
-def sample_channel_matrix(n_r, n_t, params, rng):
+def sample_channel_matrix(n_r, n_t, params, rng, trials=None):
     """n_r x n_t complex matrix with i.i.d. entries h_I + j h_Q, E[|h|^2] = omega.
 
-    Both quadratures come from one batched component draw; plane 0 is the
-    in-phase part, plane 1 the quadrature part.
+    With trials = c it returns a stack of shape (c, n_r, n_t), trial-major,
+    so the first k trials of a stack are the stack of k trials.  Both
+    quadratures come from one component draw of shape (..., n_r, n_t, 2),
+    which views as complex128 without a copy.
     """
     if int(n_r) != n_r or n_r < 1 or int(n_t) != n_t or n_t < 1:
         raise ValueError(f"dimensions must be positive integers, got {n_r!r} x {n_t!r}")
-    both = sample_nakagami_component(params, rng, size=(2, n_r, n_t))
-    return both[0] + 1j * both[1]
+    shape = (n_r, n_t, 2) if trials is None else (trials, n_r, n_t, 2)
+    parts = sample_nakagami_component(params, rng, size=shape)
+    return parts.view(np.complex128)[..., 0]
 
 
 def compose_channel(h_w, sqrt_sigma, mode):
-    """Apply the one-sided correlation root: S @ H_w (receive) or H_w @ S (transmit)."""
+    """Apply the one-sided correlation root: S @ H_w (receive) or H_w @ S (transmit).
+
+    h_w may be one n_r x n_t matrix or a stack of them.
+    """
     h_w = np.asarray(h_w)
     sqrt_sigma = np.asarray(sqrt_sigma)
-    n_r, n_t = h_w.shape
+    n_r, n_t = h_w.shape[-2:]
     need = mode.correlated_count(n_r, n_t)
     if sqrt_sigma.shape != (need, need):
         raise ValueError(
             f"correlation root is {sqrt_sigma.shape[0]}x{sqrt_sigma.shape[1]} but the "
             f"{mode.side} side of a {n_r}x{n_t} channel needs {need}x{need}"
         )
-    if mode.side == "receive":
-        return sqrt_sigma @ h_w
-    return h_w @ sqrt_sigma
+    if mode.side == "transmit":
+        # one product over the rows of every trial
+        return (h_w.reshape(-1, n_t) @ sqrt_sigma).reshape(h_w.shape)
+    if h_w.dtype == np.complex128 and np.isrealobj(sqrt_sigma):
+        # a real root mixes rows only, so it multiplies the real and
+        # imaginary parts as one float array, half the work of a complex product
+        parts = np.ascontiguousarray(h_w).view(np.float64)
+        return (sqrt_sigma @ parts).view(np.complex128)
+    return sqrt_sigma @ h_w

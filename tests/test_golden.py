@@ -35,12 +35,12 @@ m = 0.7
 @pytest.mark.parametrize(
     "preset, extra, digest",
     [
-        ("fig1", [], "d0e277275b4cee899e9e4d48747ddfc6f3055dc51ca57a0b617722aed504fdad"),
-        ("fig2", [], "d64d22c31722ed5e9e91a7711fd0dbcf266d3f1566f19e8ef47d4c8b679aab77"),
+        ("fig1", [], "fe15c72e57cbce86a3489c5f03e508d36bb609d746e65c305978d81d6f7101c9"),
+        ("fig2", [], "202bad1e6984021cc9fcfacd8d761acf0e7c8cb3716bf8e3c37e3e817e74345a"),
         (
             "fig3",
             ["--full-fit"],
-            "edd62f29fc4510c81998ae8f1d36012e055357059d0c762dbb10db602e7b1a08",
+            "f3da47579d9c05ba5f98129ca773e3b4cc1769162e99842f987a97692c9098f6",
         ),
     ],
 )
@@ -86,5 +86,5 @@ def test_wide_full_fit_csv_bytes(tmp_path):
     subprocess.run(
         [sys.executable, "-m", "esrc.cli", *argv, "--out", str(out)], env=env, check=True
     )
-    digest = "5870ca95d426533e009255c0a5425289d2153cf5e26bb18bfe83fae24b5b765e"
+    digest = "9de824064deaa9c90aa96d46964c6a16ddcc60644a61d29f12d3a2bbaa6d9834"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

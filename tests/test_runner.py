@@ -455,7 +455,8 @@ class TestCli:
         # every invocation pays for what `import esrc.cli` loads
         code = (
             "import sys, esrc.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'mpmath') "
+            "print(sorted(m for m in "
+            "('scipy.stats', 'scipy.integrate', 'scipy.linalg', 'mpmath') "
             "if m in sys.modules))"
         )
         env = dict(os.environ, PYTHONPATH=SRC_DIR)

@@ -9,14 +9,20 @@ from scipy.integrate import quad
 
 import esrc.zf
 from esrc.analytic import BetaVector, esrc_closed_form
-from esrc.channel import FadingParams, SemiCorrelationMode
+from esrc.channel import (
+    FadingParams,
+    SemiCorrelationMode,
+    compose_channel,
+    sample_channel_matrix,
+)
 from esrc.config import SystemConfig
-from esrc.correlation import CorrelationSpec, build_banded_correlation
+from esrc.correlation import CorrelationSpec, build_banded_correlation, matrix_sqrt
 from esrc.zf import (
     EsrcResult,
     MonteCarloAbort,
     SingularChannelError,
     SinrSampleSet,
+    chunk_trials,
     monte_carlo_esrc,
     sum_rate,
     trial_rng,
@@ -170,7 +176,8 @@ class TestMonteCarloEsrc:
         assert np.array_equal(s1.samples, s2.samples)
 
     def test_trial_prefix_stable(self):
-        # trial t depends only on (seed, t), so shorter runs are prefixes
+        # chunks depend only on (seed, chunk) and their size on the
+        # dimensions, so shorter runs are prefixes
         _, s_long = monte_carlo_esrc(make_config(trials=300))
         _, s_short = monte_carlo_esrc(make_config(trials=100))
         assert np.array_equal(s_long.samples[:, :100], s_short.samples)
@@ -202,14 +209,18 @@ class TestMonteCarloEsrc:
         assert np.all(np.isfinite(sset.samples))
 
     def test_abort_when_too_many_singular(self, monkeypatch):
+        # the kernel redraws the trials whose zf_sinr rows come back NaN;
+        # here every other trial it sees, redraws included, is singular
         calls = {"n": 0}
         real = esrc.zf.zf_sinr
 
         def flaky(h, snr):
-            calls["n"] += 1
-            if calls["n"] % 2 == 1:
-                raise SingularChannelError("forced", cond=np.inf)
-            return real(h, snr)
+            sinr = real(h, snr)
+            for row in sinr:
+                calls["n"] += 1
+                if calls["n"] % 2 == 1:
+                    row[:] = np.nan
+            return sinr
 
         monkeypatch.setattr(esrc.zf, "zf_sinr", flaky)
         cfg = make_config(trials=2000)
@@ -220,12 +231,170 @@ class TestMonteCarloEsrc:
 
     def test_abort_when_trial_stays_singular(self, monkeypatch):
         def always_singular(h, snr):
-            raise SingularChannelError("forced", cond=np.inf)
+            return np.full((len(h), h.shape[-1]), np.nan)
 
         monkeypatch.setattr(esrc.zf, "zf_sinr", always_singular)
         cfg = make_config(trials=10)
         with pytest.raises(MonteCarloAbort, match="stayed singular"):
             monte_carlo_esrc(cfg)
+
+    def test_one_singular_trial_is_redrawn_from_its_own_stream(self, monkeypatch):
+        cfg = make_config(trials=1000, correlation=CorrelationSpec(n=8, rho=0.3, l_band=7))
+        step = chunk_trials(8, 8)
+        clean_result, clean = monte_carlo_esrc(cfg)
+        assert clean_result.singular_trials == 0
+        real = esrc.zf.zf_sinr
+        chunk, trial = 1, 100
+        seen = {"chunks": 0}
+
+        def one_singular(h, snr):
+            sinr = real(h, snr)
+            if len(h) > 1:
+                seen["chunks"] += 1
+                if seen["chunks"] == chunk + 1:
+                    sinr[trial] = np.nan
+            return sinr
+
+        monkeypatch.setattr(esrc.zf, "zf_sinr", one_singular)
+        result, sset = monte_carlo_esrc(cfg)
+        assert result.singular_trials == 1
+        column = chunk * step + trial
+        others = np.arange(cfg.trials) != column
+        assert np.array_equal(sset.samples[:, others], clean.samples[:, others])
+        # the replacement is attempt 1 of (seed, chunk, trial)
+        root = matrix_sqrt(build_banded_correlation(cfg.correlation))
+        rng = trial_rng(cfg.seed, chunk, trial, 1)
+        h_w = sample_channel_matrix(8, 8, cfg.fading, rng, trials=1)
+        expected = real(compose_channel(h_w, root, cfg.mode), cfg.snr_linear)[0]
+        assert np.array_equal(sset.samples[:, column], expected)
+        assert not np.array_equal(sset.samples[:, column], clean.samples[:, column])
+
+    def test_chunk_whose_cholesky_raises_runs_one_trial_at_a_time(self, monkeypatch):
+        # 1000 trials allow one singular trial below the abort fraction
+        cfg = make_config(trials=1000)
+        _, clean = monte_carlo_esrc(cfg)
+        real = esrc.zf.compose_channel
+        bad = 17
+        grams = []
+
+        def zero_column(h_w, sqrt_sigma, mode):
+            h = real(h_w, sqrt_sigma, mode)
+            if len(h) > 1 and not grams:
+                h[bad, :, 3] = 0.0
+                grams.append(h.conj().swapaxes(-1, -2) @ h)
+            return h
+
+        monkeypatch.setattr(esrc.zf, "compose_channel", zero_column)
+        result, sset = monte_carlo_esrc(cfg)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(grams[0])
+        assert result.singular_trials == 1
+        others = np.arange(cfg.trials) != bad
+        assert np.array_equal(sset.samples[:, others], clean.samples[:, others])
+        assert np.all(np.isfinite(sset.samples[:, bad]))
+
+
+class TestChunkedKernel:
+    def test_chunk_size_depends_on_dimensions_only(self):
+        assert esrc.zf.CHUNK_ENTRIES == 2**14
+        assert chunk_trials(64, 32) == 8
+        assert chunk_trials(8, 8) == 256
+        assert chunk_trials(200, 100) == 1
+
+    def test_redraw_streams_differ_from_the_chunk_stream(self):
+        draws = [
+            trial_rng(7, 2, trial, attempt).standard_normal(4)
+            for trial, attempt in ((0, 0), (0, 1), (1, 1), (0, 2))
+        ]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert not np.array_equal(draws[i], draws[j]), (i, j)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        n_t=st.integers(min_value=1, max_value=6),
+        extra_rx=st.integers(min_value=0, max_value=3),
+        count=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stack_matches_one_channel_at_a_time(self, n_t, extra_rx, count, seed):
+        rng = np.random.default_rng(seed)
+        shape = (count, n_t + extra_rx, n_t)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack = zf_sinr(h, 2.5)
+        assert stack.shape == (count, n_t)
+        for i in range(count):
+            try:
+                single = zf_sinr(h[i], 2.5)
+            except SingularChannelError:
+                assert np.all(np.isnan(stack[i]))
+            else:
+                assert stack[i] == pytest.approx(single, rel=1e-9)
+
+    @pytest.mark.parametrize("n_r, n_t", [(64, 32), (40, 33), (24, 17)])
+    def test_many_users_match_direct_inverse(self, n_r, n_t):
+        # above 16 users the Cholesky factor is inverted by halves
+        rng = np.random.default_rng(n_t)
+        h = rng.standard_normal((3, n_r, n_t)) + 1j * rng.standard_normal((3, n_r, n_t))
+        gram = h.conj().swapaxes(-1, -2) @ h
+        oracle = 2.0 / np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1).real
+        assert zf_sinr(h, 2.0) == pytest.approx(oracle, rel=1e-9)
+        assert zf_sinr(h[1], 2.0) == pytest.approx(oracle[1], rel=1e-9)
+
+    def test_stack_with_a_singular_trial_keeps_the_other_rows(self):
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((6, 5, 4)) + 1j * rng.standard_normal((6, 5, 4))
+        batched = zf_sinr(h, 3.0)
+        h[2, :, 1] = 0.0
+        sinr = zf_sinr(h, 3.0)
+        assert np.all(np.isnan(sinr[2]))
+        keep = [0, 1, 3, 4, 5]
+        assert np.array_equal(sinr[keep], batched[keep])
+
+    def test_ill_conditioned_trial_in_a_stack_is_rejected(self):
+        # Cholesky succeeds on cond 1e14, so the trace bound must catch it
+        h = np.stack([np.diag([1.0, 1e-7]), np.diag([1.0, 1e-5]), np.eye(2)]).astype(complex)
+        sinr = zf_sinr(h, 1.0)
+        assert np.all(np.isnan(sinr[0]))
+        assert sinr[1] == pytest.approx([1.0, 1e-10], rel=1e-9)
+        assert np.array_equal(sinr[2], [1.0, 1.0])
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(
+        side=st.sampled_from(["transmit", "receive"]),
+        dims=st.sampled_from([(8, 8), (12, 5), (64, 32)]),
+        m=st.floats(min_value=0.3, max_value=3.0),
+    )
+    def test_prefix_and_rerun_across_chunk_boundaries(self, side, dims, m):
+        n_r, n_t = dims
+        c = chunk_trials(n_r, n_t)
+        n = n_t if side == "transmit" else n_r
+
+        def run(trials):
+            cfg = make_config(
+                n_t=n_t,
+                n_r=n_r,
+                fading=FadingParams(m=m, omega=1.0),
+                correlation=CorrelationSpec(n=n, rho=0.4, l_band=n - 1),
+                mode=SemiCorrelationMode(side),
+                trials=trials,
+                seed=99,
+            )
+            return monte_carlo_esrc(cfg)[1].samples
+
+        longest = run(2 * c + 3)
+        for trials in (1, c - 1, c, c + 1):
+            if trials >= 1:
+                assert np.array_equal(run(trials), longest[:, :trials]), trials
+        assert np.array_equal(run(2 * c + 3), longest)
+
+    @pytest.mark.parametrize("m", [0.3, 0.7, 1.0, 2.5])
+    def test_quadrature_powers_follow_the_gamma_law(self, m):
+        omega = 1.3
+        h = sample_channel_matrix(8, 8, FadingParams(m=m, omega=omega), trial_rng(11, 0), trials=300)
+        law = stats.gamma(0.5 * m, scale=omega / m)
+        for part in (h.real, h.imag):
+            assert stats.kstest(part.ravel() ** 2, law.cdf).pvalue > 1e-3, m
 
 
 class TestExactLawOracle:

@@ -164,6 +164,17 @@ class TestComposeChannel:
         out = compose_channel(h, s, SemiCorrelationMode("transmit"))
         assert np.array_equal(out, h @ s)
 
+    def test_stack_composes_like_each_matrix(self):
+        params = FadingParams(m=0.7, omega=1.0)
+        stack = sample_channel_matrix(6, 4, params, np.random.default_rng(3), trials=5)
+        for side, n in (("transmit", 4), ("receive", 6)):
+            root = matrix_sqrt(build_banded_correlation(CorrelationSpec(n=n, rho=0.4, l_band=2)))
+            out = compose_channel(stack, root, SemiCorrelationMode(side))
+            assert out.shape == stack.shape
+            for h, composed in zip(stack, out):
+                expected = root.astype(complex) @ h if side == "receive" else h @ root
+                np.testing.assert_allclose(composed, expected, rtol=1e-13, atol=1e-15)
+
     def test_dimension_mismatch_names_both(self):
         h = np.zeros((4, 3))
         with pytest.raises(ValueError, match="2x2.*transmit.*4x3.*3x3"):

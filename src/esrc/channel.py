@@ -56,6 +56,11 @@ def _require_generator(rng):
         raise TypeError(
             f"rng must be a numpy.random.Generator, got {type(rng).__name__}"
         )
+    if not hasattr(rng.bit_generator, "jumped"):
+        raise TypeError(
+            "rng needs a jumpable bit generator such as Philox or PCG64, got "
+            f"{type(rng.bit_generator).__name__}"
+        )
 
 
 def sample_nakagami_component(params, rng, size=None):
@@ -65,7 +70,9 @@ def sample_nakagami_component(params, rng, size=None):
     valid (m, omega).  G comes from rng and V from rng's stream jumped
     2^128 draws ahead, each filled in C order: the first k values of
     either do not depend on how many are drawn, so a smaller draw is a
-    prefix of a larger one.
+    prefix of a larger one.  rng's bit generator must therefore have
+    jumped(): Philox, PCG64 and PCG64DXSM jump in constant time, MT19937
+    slowly, and SFC64 not at all (TypeError).
     """
     _require_generator(rng)
     uniform = np.random.Generator(rng.bit_generator.jumped())

@@ -49,7 +49,7 @@ _LEADING_TERM_NU = 2.0**30
 
 
 class NumericalError(ArithmeticError):
-    """A series or continued fraction failed to converge."""
+    """A series or continued fraction failed to converge, or a result overflowed."""
 
 
 class LaplaceInversionError(ArithmeticError):

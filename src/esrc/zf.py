@@ -22,7 +22,7 @@ import numpy as np
 
 from esrc.channel import compose_channel, sample_channel_matrix
 from esrc.correlation import build_banded_correlation, matrix_sqrt
-from esrc.specfun import LN2
+from esrc.specfun import LN2, NumericalError
 
 COND_LIMIT = 1e12
 SINGULAR_TRIAL_FRACTION = 1e-3
@@ -66,40 +66,17 @@ class EsrcResult:
 
     esrc_mc: float
     std_err: float
-    singular_trials: int = 0
 
     def __post_init__(self):
         if not (self.esrc_mc >= 0.0 and np.isfinite(self.esrc_mc)):
             raise ValueError(f"esrc_mc must be finite and >= 0, got {self.esrc_mc!r}")
         if not (self.std_err >= 0.0 and np.isfinite(self.std_err)):
             raise ValueError(f"std_err must be finite and >= 0, got {self.std_err!r}")
-        if not self.singular_trials >= 0:
-            raise ValueError(f"singular_trials must be >= 0, got {self.singular_trials!r}")
 
 
 def chunk_trials(n_r, n_t):
     """Trials per chunk, a function of the dimensions only."""
     return max(1, CHUNK_ENTRIES // (n_r * n_t))
-
-
-def _lower_inverse(l):
-    """Inverse of a stack of lower-triangular matrices, by halves above 16 rows.
-
-    [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]]: two
-    half-size inverses and two products take less than one LU inverse of
-    the whole, which does not know the matrix is triangular.
-    """
-    n = l.shape[-1]
-    if n <= 16:
-        return np.linalg.inv(l)
-    h = n // 2
-    a_inv = _lower_inverse(l[..., :h, :h])
-    d_inv = _lower_inverse(l[..., h:, h:])
-    out = np.zeros_like(l)
-    out[..., :h, :h] = a_inv
-    out[..., h:, h:] = d_inv
-    out[..., h:, :h] = -(d_inv @ l[..., h:, :h]) @ a_inv
-    return out
 
 
 def _inverse_diagonal(gram):
@@ -108,7 +85,7 @@ def _inverse_diagonal(gram):
     With G = L L*, this is the squared column norms of L^{-1}.  Raises
     numpy.linalg.LinAlgError when a Cholesky factorisation fails.
     """
-    l_inv = _lower_inverse(np.linalg.cholesky(gram))
+    l_inv = np.linalg.inv(np.linalg.cholesky(gram))
     return np.sum(l_inv.real**2 + l_inv.imag**2, axis=-2)
 
 
@@ -137,7 +114,8 @@ def zf_sinr(h, snr):
     """Per-stream SINR snr / [(H*H)^{-1}]_{kk} of one channel or a stack of them.
 
     One n_r x n_t channel whose Gram matrix has a condition number of
-    COND_LIMIT or more raises SingularChannelError.  For a stack of shape
+    COND_LIMIT or more raises SingularChannelError, and a Gram matrix or
+    SINR that overflows raises NumericalError.  For a stack of shape
     (c, n_r, n_t) the result is (c, n_t), and such a trial's row is NaN so
     that the caller can redraw it alone.  A stack is gated by the bound
     cond(G) <= tr(G) tr(G^{-1}), whose factors the batched Cholesky
@@ -154,21 +132,27 @@ def zf_sinr(h, snr):
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr!r}")
     gram = h.conj().swapaxes(-1, -2) @ h
+    if not np.all(np.isfinite(gram)):
+        raise NumericalError("Gram matrix H*H overflows float64")
     if h.ndim == 2:
-        return snr / _checked_inverse_diagonal(gram[None])[0]
-    try:
-        inv_diag = _inverse_diagonal(gram)
-        bound = np.trace(gram, axis1=-2, axis2=-1).real * inv_diag.sum(axis=-1)
-        exact = np.flatnonzero(~(bound < COND_LIMIT))
-    except np.linalg.LinAlgError:
-        inv_diag = np.empty(gram.shape[:-1])
-        exact = range(len(gram))
-    for i in exact:
+        inv_diag = _checked_inverse_diagonal(gram[None])[0]
+    else:
         try:
-            inv_diag[i] = _checked_inverse_diagonal(gram[i : i + 1])[0]
-        except SingularChannelError:
-            inv_diag[i] = np.nan
-    return snr / inv_diag
+            inv_diag = _inverse_diagonal(gram)
+            bound = np.trace(gram, axis1=-2, axis2=-1).real * inv_diag.sum(axis=-1)
+            exact = np.flatnonzero(~(bound < COND_LIMIT))
+        except np.linalg.LinAlgError:
+            inv_diag = np.empty(gram.shape[:-1])
+            exact = range(len(gram))
+        for i in exact:
+            try:
+                inv_diag[i] = _checked_inverse_diagonal(gram[i : i + 1])[0]
+            except SingularChannelError:
+                inv_diag[i] = np.nan
+    sinr = snr / inv_diag
+    if np.any(np.isinf(sinr)):
+        raise NumericalError("SINR overflows float64")
+    return sinr
 
 
 def sum_rate(sinr):
@@ -246,5 +230,5 @@ def monte_carlo_esrc(config):
         std_err = float(np.std(rates, ddof=1) / np.sqrt(trials))
     else:
         std_err = 0.0
-    result = EsrcResult(esrc_mc=esrc_mc, std_err=std_err, singular_trials=singular_trials)
+    result = EsrcResult(esrc_mc=esrc_mc, std_err=std_err)
     return result, SinrSampleSet(samples=samples)

@@ -50,6 +50,11 @@ class TestSampleNakagamiComponent:
         with pytest.raises(TypeError, match="Generator"):
             sample_nakagami_component(FadingParams(m=1.0, omega=1.0), rng=42)
 
+    def test_requires_jumpable_bit_generator(self):
+        rng = np.random.Generator(np.random.SFC64(1))
+        with pytest.raises(TypeError, match="jumpable bit generator.*SFC64"):
+            sample_nakagami_component(FadingParams(m=1.0, omega=1.0), rng=rng)
+
     def test_second_moment_is_half_omega(self):
         rng = np.random.default_rng(11)
         for m in (0.7, 1.0, 2.5):

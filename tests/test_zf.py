@@ -17,6 +17,7 @@ from esrc.channel import (
 )
 from esrc.config import SystemConfig
 from esrc.correlation import CorrelationSpec, build_banded_correlation, matrix_sqrt
+from esrc.specfun import NumericalError
 from esrc.zf import (
     EsrcResult,
     MonteCarloAbort,
@@ -241,8 +242,7 @@ class TestMonteCarloEsrc:
     def test_one_singular_trial_is_redrawn_from_its_own_stream(self, monkeypatch):
         cfg = make_config(trials=1000, correlation=CorrelationSpec(n=8, rho=0.3, l_band=7))
         step = chunk_trials(8, 8)
-        clean_result, clean = monte_carlo_esrc(cfg)
-        assert clean_result.singular_trials == 0
+        _, clean = monte_carlo_esrc(cfg)
         real = esrc.zf.zf_sinr
         chunk, trial = 1, 100
         seen = {"chunks": 0}
@@ -256,8 +256,7 @@ class TestMonteCarloEsrc:
             return sinr
 
         monkeypatch.setattr(esrc.zf, "zf_sinr", one_singular)
-        result, sset = monte_carlo_esrc(cfg)
-        assert result.singular_trials == 1
+        _, sset = monte_carlo_esrc(cfg)
         column = chunk * step + trial
         others = np.arange(cfg.trials) != column
         assert np.array_equal(sset.samples[:, others], clean.samples[:, others])
@@ -285,13 +284,16 @@ class TestMonteCarloEsrc:
             return h
 
         monkeypatch.setattr(esrc.zf, "compose_channel", zero_column)
-        result, sset = monte_carlo_esrc(cfg)
+        _, sset = monte_carlo_esrc(cfg)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(grams[0])
-        assert result.singular_trials == 1
         others = np.arange(cfg.trials) != bad
         assert np.array_equal(sset.samples[:, others], clean.samples[:, others])
-        assert np.all(np.isfinite(sset.samples[:, bad]))
+        # the zeroed trial is replaced by attempt 1 of (seed, 0, bad)
+        root = matrix_sqrt(build_banded_correlation(cfg.correlation))
+        h_w = sample_channel_matrix(8, 8, cfg.fading, trial_rng(cfg.seed, 0, bad, 1), trials=1)
+        expected = esrc.zf.zf_sinr(real(h_w, root, cfg.mode), cfg.snr_linear)[0]
+        assert np.array_equal(sset.samples[:, bad], expected)
 
 
 class TestChunkedKernel:
@@ -333,13 +335,31 @@ class TestChunkedKernel:
 
     @pytest.mark.parametrize("n_r, n_t", [(64, 32), (40, 33), (24, 17)])
     def test_many_users_match_direct_inverse(self, n_r, n_t):
-        # above 16 users the Cholesky factor is inverted by halves
+        # the squared column norms of the inverted Cholesky factor at many users
         rng = np.random.default_rng(n_t)
         h = rng.standard_normal((3, n_r, n_t)) + 1j * rng.standard_normal((3, n_r, n_t))
         gram = h.conj().swapaxes(-1, -2) @ h
         oracle = 2.0 / np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1).real
         assert zf_sinr(h, 2.0) == pytest.approx(oracle, rel=1e-9)
         assert zf_sinr(h[1], 2.0) == pytest.approx(oracle[1], rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gram_raises_numerical_error(self):
+        h = np.full((2, 4, 4), 1e155 + 0j)
+        with pytest.raises(NumericalError, match="overflow"):
+            zf_sinr(h, 1.0)
+        with pytest.raises(NumericalError, match="overflow"):
+            zf_sinr(h[0], 1.0)
+        # a finite Gram matrix whose SINR overflows
+        with pytest.raises(NumericalError, match="overflow"):
+            zf_sinr(np.eye(4)[None] * 1e150, 1e10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fading_power_near_the_float_limit_is_reported_as_overflow(self):
+        for omega in (1e307, 1e308):
+            cfg = make_config(trials=20, fading=FadingParams(m=1.0, omega=omega))
+            with pytest.raises(NumericalError, match="overflow"):
+                monte_carlo_esrc(cfg)
 
     def test_stack_with_a_singular_trial_keeps_the_other_rows(self):
         rng = np.random.default_rng(5)

@@ -267,6 +267,12 @@ class TestMonteCarloEsrc:
         expected = real(compose_channel(h_w, root, cfg.mode), cfg.snr_linear)[0]
         assert np.array_equal(sset.samples[:, column], expected)
         assert not np.array_equal(sset.samples[:, column], clean.samples[:, column])
+        # the redraw is counted: a second one in the same run crosses the
+        # 0.1% abort fraction of 1000 trials
+        seen["chunks"] = 0
+        trial = [100, 101]
+        with pytest.raises(MonteCarloAbort, match="2 of 1000 trials"):
+            monte_carlo_esrc(cfg)
 
     def test_chunk_whose_cholesky_raises_runs_one_trial_at_a_time(self, monkeypatch):
         # 1000 trials allow one singular trial below the abort fraction

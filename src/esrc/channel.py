@@ -51,40 +51,38 @@ class SemiCorrelationMode:
         return n_t if self.side == "transmit" else n_r
 
 
-def _require_generator(rng):
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError(
-            f"rng must be a numpy.random.Generator, got {type(rng).__name__}"
-        )
-    if not hasattr(rng.bit_generator, "jumped"):
-        raise TypeError(
-            "rng needs a jumpable bit generator such as Philox or PCG64, got "
-            f"{type(rng.bit_generator).__name__}"
-        )
-
-
 def sample_nakagami_component(params, rng, size=None):
     """Draw h = sign(V) sqrt(G |V|^(2/m) omega/m), G ~ Gamma(m/2 + 1), V ~ U(-1, 1).
 
     h^2 ~ Gamma(m/2, omega/m), so E[h] = 0 and E[h^2] = omega/2 for every
-    valid (m, omega).  G comes from rng and V from rng's stream jumped
-    2^128 draws ahead, each filled in C order: the first k values of
-    either do not depend on how many are drawn, so a smaller draw is a
-    prefix of a larger one.  rng's bit generator must therefore have
-    jumped(): Philox, PCG64 and PCG64DXSM jump in constant time, MT19937
-    slowly, and SFC64 not at all (TypeError).
+    valid (m, omega).  G comes from rng and V from rng.spawn(1)[0], a child
+    stream that depends on rng's seed sequence and on how many children it
+    has spawned, not on how many values rng has drawn.  Each is filled in C
+    order, so the first k values of either do not depend on how many are
+    drawn and a smaller draw is a prefix of a larger one.  rng's bit
+    generator must be seeded from a SeedSequence (TypeError otherwise).
+    With size=None it returns one float.
     """
-    _require_generator(rng)
-    uniform = np.random.Generator(rng.bit_generator.jumped())
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    try:
+        uniform = rng.spawn(1)[0]
+    except TypeError:
+        raise TypeError(
+            "rng needs a bit generator seeded from a SeedSequence to spawn its "
+            f"sign substream, got {type(rng.bit_generator).__name__} without one"
+        ) from None
+    shape = 1 if size is None else size
     a = 0.5 * params.m
-    g = rng.standard_gamma(a + 1.0, size=size)
-    v = uniform.uniform(-1.0, 1.0, size=size)
+    g = rng.standard_gamma(a + 1.0, size=shape)
+    v = uniform.uniform(-1.0, 1.0, size=shape)
     boost = np.abs(v)
     np.power(boost, 1.0 / a, out=boost)
     boost *= params.omega / params.m
     g *= boost
     np.sqrt(g, out=g)
-    return np.copysign(g, v, out=g)
+    np.copysign(g, v, out=g)
+    return float(g[0]) if size is None else g
 
 
 def sample_channel_matrix(n_r, n_t, params, rng, trials=None):

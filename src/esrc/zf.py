@@ -7,7 +7,7 @@ that quantity over independent channel draws.
 
 Trials run in chunks of chunk_trials(n_r, n_t), a number that depends on
 the dimensions only.  Chunk j draws, composes and inverts its trials in
-one batch from a counter-based stream keyed on (seed, j), and a trial the
+one batch from an SFC64 stream seeded by (seed, j), and a trial the
 conditioning check rejects is redrawn from its own (seed, j, trial,
 attempt) stream.  Results are therefore a pure function of the
 configuration and seed, shorter runs are trial prefixes of longer ones,
@@ -164,17 +164,16 @@ def sum_rate(sinr):
 
 
 def trial_rng(seed, chunk, trial=0, attempt=0):
-    """Counter-based stream of one chunk, or of one redraw of a trial in it.
+    """SFC64 stream of one chunk, or of one redraw of a trial in it.
 
-    The Philox key is (seed, chunk) and the counter starts at
-    (0, trial, 0, attempt): the chunk's own draws use attempt 0 and the
-    redraws of its trial `trial` use attempts 1, 2, ...  Draws advance the
-    first counter word; the channel sampler's uniform substream, 2^128
-    draws ahead, has a one in the third, so no two streams overlap.
+    It is seeded from SeedSequence(seed, spawn_key=(chunk, trial, attempt)):
+    the chunk's own draws use (chunk, 0, 0) and the redraws of its trial
+    `trial` use attempts 1, 2, ...  The channel sampler's sign substream is
+    this sequence's first child, spawn key (chunk, trial, attempt, 0), so
+    every stream hashes a distinct key.
     """
-    key = np.array([seed, chunk], dtype=np.uint64)
-    counter = np.array([0, trial, 0, attempt], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk, trial, attempt))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def monte_carlo_esrc(config):

@@ -50,10 +50,39 @@ class TestSampleNakagamiComponent:
         with pytest.raises(TypeError, match="Generator"):
             sample_nakagami_component(FadingParams(m=1.0, omega=1.0), rng=42)
 
-    def test_requires_jumpable_bit_generator(self):
-        rng = np.random.Generator(np.random.SFC64(1))
-        with pytest.raises(TypeError, match="jumpable bit generator.*SFC64"):
+    def test_requires_spawnable_bit_generator(self):
+        # a keyed Philox has no SeedSequence, so it cannot spawn the sign stream
+        rng = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
+        with pytest.raises(TypeError, match="SeedSequence.*Philox"):
             sample_nakagami_component(FadingParams(m=1.0, omega=1.0), rng=rng)
+
+    def test_streams_built_alike_draw_alike(self):
+        params = FadingParams(m=0.7, omega=1.2)
+
+        def rng():
+            seq = np.random.SeedSequence(5, spawn_key=(1, 2, 3))
+            return np.random.Generator(np.random.SFC64(seq))
+
+        a = sample_nakagami_component(params, rng(), size=1000)
+        assert np.array_equal(a, sample_nakagami_component(params, rng(), size=1000))
+        # magnitudes come from rng itself and signs from its first child
+        a_half = 0.5 * params.m
+        g = rng().standard_gamma(a_half + 1.0, size=1000)
+        v = rng().spawn(1)[0].uniform(-1.0, 1.0, size=1000)
+        scale = params.omega / params.m
+        expected = np.copysign(np.sqrt(g * np.abs(v) ** (1.0 / a_half) * scale), v)
+        np.testing.assert_allclose(a, expected, rtol=1e-13)
+        assert np.array_equal(np.sign(a), np.sign(v))
+        # the sign stream is not the magnitude stream
+        magnitude_uniforms = rng().uniform(-1.0, 1.0, size=1000)
+        assert 400 < np.sum(np.sign(magnitude_uniforms) == np.sign(v)) < 600
+
+    def test_scalar_draw_is_first_of_a_size_one_draw(self):
+        params = FadingParams(m=0.7, omega=1.2)
+        h = sample_nakagami_component(params, np.random.default_rng(8))
+        assert isinstance(h, float)
+        first = sample_nakagami_component(params, np.random.default_rng(8), size=1)[0]
+        assert h == first
 
     def test_second_moment_is_half_omega(self):
         rng = np.random.default_rng(11)
@@ -193,11 +222,9 @@ class TestComposeChannel:
         params = FadingParams(m=1.0, omega=1.0)
         mode = SemiCorrelationMode("receive")
         rng = np.random.default_rng(31)
-        acc = np.zeros((4, 4), dtype=complex)
         n_mat = 100_000
-        for _ in range(n_mat):
-            h = compose_channel(sample_channel_matrix(4, 4, params, rng), root, mode)
-            acc += h @ h.conj().T
+        h = compose_channel(sample_channel_matrix(4, 4, params, rng, trials=n_mat), root, mode)
+        acc = np.sum(h @ h.conj().swapaxes(-1, -2), axis=0)
         estimate = acc / (n_mat * 4 * params.omega)
         err = np.linalg.norm(estimate - sigma, ord="fro")
         assert err <= 0.02 * np.linalg.norm(sigma, ord="fro")
@@ -208,11 +235,9 @@ class TestComposeChannel:
         root = matrix_sqrt(build_banded_correlation(spec))
         params = FadingParams(m=0.7, omega=1.0)
         rng = np.random.default_rng(32)
+        n_mat = 20_000
         for side in ("transmit", "receive"):
             mode = SemiCorrelationMode(side)
-            total = 0.0
-            n_mat = 20_000
-            for _ in range(n_mat):
-                h = compose_channel(sample_channel_matrix(4, 4, params, rng), root, mode)
-                total += np.sum(np.abs(h) ** 2)
+            h = compose_channel(sample_channel_matrix(4, 4, params, rng, trials=n_mat), root, mode)
+            total = np.sum(np.abs(h) ** 2)
             assert total / n_mat == pytest.approx(16.0, rel=0.01), side

@@ -35,12 +35,12 @@ m = 0.7
 @pytest.mark.parametrize(
     "preset, extra, digest",
     [
-        ("fig1", [], "fe15c72e57cbce86a3489c5f03e508d36bb609d746e65c305978d81d6f7101c9"),
-        ("fig2", [], "202bad1e6984021cc9fcfacd8d761acf0e7c8cb3716bf8e3c37e3e817e74345a"),
+        ("fig1", [], "c35a87145a26f1c9625095009c9018b856b1936deb3849feebeb4244f0f87df6"),
+        ("fig2", [], "b016deea54c31c8511de5c4968cbfd4a8d8049b1f6e96ec2ed440068ee7a2bff"),
         (
             "fig3",
             ["--full-fit"],
-            "f3da47579d9c05ba5f98129ca773e3b4cc1769162e99842f987a97692c9098f6",
+            "ebc4f55206f5399ae0a3803f311955ee23b209163ce20bcb843fdd545c95ff44",
         ),
     ],
 )
@@ -86,5 +86,5 @@ def test_wide_full_fit_csv_bytes(tmp_path):
     subprocess.run(
         [sys.executable, "-m", "esrc.cli", *argv, "--out", str(out)], env=env, check=True
     )
-    digest = "9de824064deaa9c90aa96d46964c6a16ddcc60644a61d29f12d3a2bbaa6d9834"
+    digest = "62e490a028d9d5a1811b4edd416f0757dbcc86677b9f1d3756c352e4c84d8e7f"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -17,18 +17,21 @@ them.  Boolean masks split the (nu, z) pairs among four kernels:
 - the Kummer split Gamma(nu) minus the lower series, when |Im nu| or
   Re nu reach 2(z + 1), or when Re nu > max(z - 1, 0) away from the
   pole at nu = 0 (|nu| >= 1/2), where the split would cancel;
-- otherwise a modified Lentz continued fraction when z >= 0.05;
+- otherwise a modified Lentz continued fraction when z >= 1;
 - otherwise a power series about the anchor Gamma(nu, 1), summed in
   scaled form so that no power of z leaves the float range.
 
 The series and the fraction iterate on arrays with a convergence mask per
-element; converged elements leave the active set, so each loop ends when
-its slowest element converges.  The Kummer series runs once per z, and
+element, checked every _BLOCK steps; converged elements leave the active
+set, so each loop ends when its slowest element converges.  The Kummer series runs once per z, and
 the fraction-bound pairs of every z share one continued-fraction pass
 with the anchors Gamma(nu, 1) of the series.  The fraction yields the
 scaled quantity directly, so e^x E_1(x) stays exact far beyond the e^{-x}
-underflow point.  exp_scaled_e1 is the engine at nu = 0, and the Euler
-Laplace inversion completes the module.
+underflow point.  The Kummer split takes Gamma(nu) from _loggamma, a
+Stirling series with a recurrence shift and reflection, evaluated once per
+order for every z.  exp_scaled_e1 is the engine at nu = 0, and the Euler
+Laplace inversion completes the module.  The regularized lower incomplete
+gamma P(a, x) of the gamma fit reuses the lower series and the fraction.
 """
 
 from __future__ import annotations
@@ -36,16 +39,26 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import loggamma as _cx_loggamma
 
 LN2 = math.log(2.0)
+_LN_2PI = math.log(2.0 * math.pi)
 
 _MAX_CF_ITER = 60_000
 _MAX_SERIES_ITER = 10_000
+# iterations of the lower series and the continued fraction between
+# convergence checks
+_BLOCK = 8
 _EPS = 1e-16
 # orders with Re nu <= 0 and |nu| at least this multiple of z + 1 take the
 # continued fraction's leading term
 _LEADING_TERM_NU = 2.0**30
+# Stirling series of log Gamma(w): the coefficients B_2k / (2k (2k - 1)),
+# k = 1..10, truncated below 1e-16 relative for |w| >= _STIRLING_MIN, Re w > 0
+_STIRLING = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+    -691 / 360360, 1 / 156, -3617 / 122400, 43867 / 244188, -174611 / 125400,
+)
+_STIRLING_MIN = 7.0
 
 
 class NumericalError(ArithmeticError):
@@ -61,13 +74,64 @@ class LaplaceInversionError(ArithmeticError):
         self.point = point
 
 
+def _stirling_tail(w):
+    """log Gamma(w) - (w - 1/2) log w + w - log(2 pi)/2, for |w| >= _STIRLING_MIN, Re w > 0."""
+    inv = 1.0 / w
+    inv2 = inv * inv
+    tail = 0.0
+    for c in reversed(_STIRLING):
+        tail = tail * inv2 + c
+    return tail * inv
+
+
+def _loggamma(z):
+    """log Gamma(z) elementwise on an array of complex z away from the poles.
+
+    Orders with Re z < 1/2 reflect to 1 - z.  Orders w with
+    |w| < _STIRLING_MIN shift to w + n, Re(w + n) >= _STIRLING_MIN, and
+    divide by the product w (w + 1) ... (w + n - 1): one product and one
+    log.  The Stirling series does the rest.  Any branch of the logarithm
+    may be returned.
+    """
+    z = np.asarray(z, dtype=complex)
+    left = z.real < 0.5
+    w = np.where(left, 1.0 - z, z)
+    shift = np.where(np.abs(w) < _STIRLING_MIN, np.ceil(_STIRLING_MIN - w.real), 0.0)
+    prod = np.ones_like(w)
+    for k in range(int(shift.max(initial=0.0))):
+        prod *= np.where(k < shift, w + k, 1.0)
+    w = w + shift
+    out = (w - 0.5) * np.log(w) - w + 0.5 * _LN_2PI + _stirling_tail(w) - np.log(prod)
+    if left.any():
+        # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z), with
+        # log sin(pi z) = -i pi z g + log(1 - e^{2 i pi z g}) - log 2i (+ i pi
+        # when g = 1), g the sign of Im z: no exponential overflows.  The
+        # e^{2 i pi z g} factor has period 1 in Re z and the linear term
+        # period 2 up to 2 pi i, so each takes Re z reduced exactly, before
+        # any multiplication by pi
+        x, y = z.real[left], z.imag[left]
+        up = y > 0.0
+        g = np.where(up, 1.0, -1.0)
+        near = x - np.round(x)
+        mod2 = x - 2.0 * np.round(0.5 * x)
+        log_sin = (
+            -1j * math.pi * g * (mod2 + 1j * y)
+            + np.log(-np.expm1(2j * math.pi * g * (near + 1j * y)))
+            - np.log(2j)
+            + 1j * math.pi * up
+        )
+        out[left] = math.log(math.pi) - log_sin - out[left]
+    return out
+
+
 def _lentz_cf(s, x):
     """Scaled continued-fraction factors C with Gamma(s, x) = x^s e^{-x} C.
 
     Modified Lentz iteration (Thompson & Barnett 1986) on the classical
     continued fraction C = 1/(x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(x+5-s - ...))),
     elementwise on 1-d arrays of real or complex orders s and positive
-    reals x of one length.
+    reals x of one length.  An element has converged once a step within
+    the last _BLOCK changed its value by less than _EPS.
     """
     tiny = 1e-300
     b = x + 1.0 - s
@@ -76,19 +140,21 @@ def _lentz_cf(s, x):
     d = np.zeros_like(f)
     out = np.empty_like(f)
     active = np.arange(f.size)
-    for n in range(1, _MAX_CF_ITER + 1):
+    for n in range(1, _MAX_CF_ITER + 1, _BLOCK):
         if active.size == 0:
             break
-        a = n * (s - n)
-        b = b + 2.0
-        d = b + a * d
-        d[np.abs(d) < tiny] = tiny
-        c = b + a / c
-        c[np.abs(c) < tiny] = tiny
-        d = 1.0 / d
-        delta = c * d
-        f = f * delta
-        done = np.abs(delta - 1.0) < _EPS
+        done = np.zeros(active.size, dtype=bool)
+        for k in range(n, n + _BLOCK):
+            a = k * (s - k)
+            b = b + 2.0
+            d = b + a * d
+            d[np.abs(d) < tiny] = tiny
+            c = b + a / c
+            c[np.abs(c) < tiny] = tiny
+            d = 1.0 / d
+            delta = c * d
+            f = f * delta
+            done |= np.abs(delta - 1.0) < _EPS
         if done.any():
             out[active[done]] = 1.0 / f[done]
             keep = ~done
@@ -109,8 +175,10 @@ def _anchor_series(s, x, c_one):
     Scaled by x^{-s}, the n-th term is (x^{-s} - x^n)/q with q = s + n,
     evaluated as x^n (x^{-q} - 1)/q when Re q <= 0 and as
     x^{-s} (1 - x^q)/q otherwise, so every power stays in range however
-    large |s ln x| is; at q = 0 the term degenerates to -x^n ln x.  s, x
-    and the fraction factors c_one = C(s, 1) are 1-d arrays of one length.
+    large |s ln x| is.  Near q = 0 the term is its limit -x^n ln x (for
+    |q| < 1e-200, within |q ln x|/2 relative), which also keeps a
+    subnormal q out of the division.  s, x and the fraction factors
+    c_one = C(s, 1) are 1-d arrays of one length.
     """
     lx = np.log(x)
     scale = np.exp(-s * lx)
@@ -128,7 +196,7 @@ def _anchor_series(s, x, c_one):
         left = q.real <= 0.0
         omp[left] = np.exp(n * lx[left]) * np.expm1(-q[left] * lx[left])
         omp[~left] = -scale[~left] * np.expm1(q[~left] * lx[~left])
-        pole = q == 0
+        pole = np.abs(q) < 1e-200
         q[pole] = 1.0
         omp[pole] = -np.exp(n * lx[pole]) * lx[pole]
         term = omp / q / fact
@@ -148,37 +216,48 @@ def _anchor_series(s, x, c_one):
     return out
 
 
-def _kummer_log_split(nu, z):
+def _lower_series(nu, z):
+    """e^z z^{-nu} gamma(nu, z) = sum_n z^n / (nu (nu + 1) ... (nu + n)).
+
+    Elementwise on 1-d arrays of real or complex orders nu and positive
+    reals z that broadcast to one length.  The series contracts from the
+    first term on when |nu + n| >= 2(z + 1) along the real or the
+    imaginary direction, and for real nu > 0 from n > z - nu on.
+    """
+    nu, z = np.broadcast_arrays(nu, z)
+    term = 1.0 / nu
+    total = term
+    out = np.empty_like(total)
+    active = np.arange(total.size)
+    for n in range(1, _MAX_SERIES_ITER + 1, _BLOCK):
+        if active.size == 0:
+            break
+        for k in range(n, n + _BLOCK):
+            term = term * (z / (nu + k))
+            total = total + term
+        done = np.abs(term) < np.abs(total) * _EPS
+        if done.any():
+            out[active[done]] = total[done]
+            keep = ~done
+            active, nu, z, term, total = (
+                active[keep], nu[keep], z[keep], term[keep], total[keep]
+            )
+    if active.size:
+        raise NumericalError(f"lower gamma series stalled (nu={nu[0]!r}, z={z[0]!r})")
+    return out
+
+
+def _kummer_log_split(nu, z, log_gamma):
     """log U(1, nu + 1, z) through Gamma(nu) minus the lower-gamma series.
 
-    nu is a 1-d array of orders and z one positive real.  The scaled lower
-    part e^z z^{-nu} gamma(nu, z) is the series
-    sum z^n / ((nu)(nu+1)...(nu+n)), which contracts from the first term
-    on when |nu + n| >= 2(z + 1) along the real or the imaginary
-    direction.  All pieces are kept in log space so very large
-    |Re(nu) * ln z| never overflows.
+    nu is a 1-d array of orders, log_gamma their log Gamma(nu) and z one
+    positive real.  The scaled lower part is _lower_series.  All pieces
+    are kept in log space so very large |Re(nu) * ln z| never overflows.
     """
     nu = nu.astype(complex)
     # log of the scaled e^z z^{-nu} Gamma(nu)
-    lg_gamma = _cx_loggamma(nu) + z - nu * math.log(z)
-    term = 1.0 / nu
-    total = term
-    lower = np.empty_like(nu)
-    active = np.arange(nu.size)
-    v = nu
-    for n in range(1, _MAX_SERIES_ITER + 1):
-        if active.size == 0:
-            break
-        term = term * (z / (v + n))
-        total = total + term
-        done = np.abs(term) < np.abs(total) * _EPS
-        if done.any():
-            lower[active[done]] = total[done]
-            keep = ~done
-            active, v, term, total = active[keep], v[keep], term[keep], total[keep]
-    if active.size:
-        raise NumericalError(f"lower gamma series stalled (nu={v[0]!r}, z={z!r})")
-    lg_lower = np.log(lower)
+    lg_gamma = log_gamma + z - nu * math.log(z)
+    lg_lower = np.log(_lower_series(nu, z))
     d = lg_lower - lg_gamma
     out = np.empty_like(nu)
     # Gamma(nu) is negligible next to the lower part
@@ -224,13 +303,18 @@ def _log_scaled_gamma(nu, z):
         | (v.real >= bound)
         | ((v.real > np.maximum(x - 1.0, 0.0)) & (size >= 0.5))
     )
-    lentz = ~(leading | kummer) & (x >= 0.05)
+    lentz = ~(leading | kummer) & (x >= 1.0)
     anchor = ~(leading | kummer | lentz)
 
     out[leading] = -np.log(x[leading] - v[leading])
+    # log Gamma(nu) once per order that some z sends to the Kummer split
+    log_gamma = np.empty(nu.size, dtype=complex)
+    needed = kummer.any(axis=0)
+    log_gamma[needed] = _loggamma(nu.ravel()[needed])
     for row, zk in enumerate(zs.ravel()):
-        if kummer[row].any():
-            out[row, kummer[row]] = _kummer_log_split(v[row, kummer[row]], zk)
+        pick = kummer[row]
+        if pick.any():
+            out[row, pick] = _kummer_log_split(v[row, pick], zk, log_gamma[pick])
     # one continued-fraction pass for the fraction-bound pairs of every z and
     # for the anchors Gamma(nu, 1) of the series
     n_lentz = np.count_nonzero(lentz)
@@ -241,6 +325,38 @@ def _log_scaled_gamma(nu, z):
     out[lentz] = np.log(cf[:n_lentz])
     out[anchor] = x[anchor] + np.log(_anchor_series(v[anchor], x[anchor], cf[n_lentz:]))
     return out.reshape(zs.shape + nu.shape)
+
+
+def _gamma_cdf(a, x):
+    """Regularized lower incomplete gamma P(a, x), the CDF of the unit-scale gamma(a).
+
+    a is one positive real and x a 1-d array of positive reals.  The lower
+    series gives P below x = a + 1 + 8 sqrt(a + 1), and the continued
+    fraction 1 - P above, each times x^a e^{-x} / Gamma(a).  The gamma(a)
+    law has mean and variance a, so the series takes a whole sample bar a
+    far tail: in numpy a series term costs a fifth of a fraction step, and
+    its term count, about x - a + 8.5 sqrt(x), stays small there.  The
+    factor is taken as (x/a)^a e^{a - x} times a^a e^{-a} / Gamma(a), with
+    log(x/a) as log1p(t), t = (x - a)/a, where x >= a/2 makes x - a exact.
+    For a >= _STIRLING_MIN the constant comes from the Stirling series, so
+    no logarithm of size a ln a has to cancel.
+    """
+    x = np.asarray(x, dtype=float)
+    if a >= _STIRLING_MIN:
+        log_norm = -0.5 * math.log(2.0 * math.pi / a) - _stirling_tail(a)
+    else:
+        log_norm = a * math.log(a) - a - math.lgamma(a)
+    t = (x - a) / a
+    log_ratio = np.where(t < -0.5, np.log(x / a), np.log1p(t))
+    log_factor = a * (log_ratio - t) + log_norm
+    p = np.empty_like(x)
+    low = x < a + 1.0 + 8.0 * math.sqrt(a + 1.0)
+    p[low] = np.exp(log_factor[low]) * _lower_series(a, x[low])
+    high = ~low
+    cf = _lentz_cf(np.full(np.count_nonzero(high), a), x[high])
+    p[high] = -np.expm1(log_factor[high] + np.log(cf))
+    # rounding may carry the series a few ulps past 1
+    return np.minimum(p, 1.0)
 
 
 def exp_scaled_e1(x):

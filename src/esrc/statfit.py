@@ -2,22 +2,35 @@
 
 The gamma shape equation ln(alpha) - psi(alpha) = ln(mean) - mean(ln x)
 is solved by Newton iteration from the standard closed-form initializer;
-the scale follows as mean/alpha.  Both goodness-of-fit tests use the
-plain (not Lilliefors-corrected) thresholds: with parameters estimated
-from the same data the plain Kolmogorov threshold under-rejects
-slightly, which is accepted and documented rather than corrected.
+the scale follows as mean/alpha.  Both goodness-of-fit tests take the
+hypothesised CDF at each sample, so the fit evaluates its CDF once for
+both.  They use the plain (not Lilliefors-corrected) thresholds: with
+parameters estimated from the same data the plain Kolmogorov threshold
+under-rejects slightly, which is accepted and documented rather than
+corrected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtri, gammainc, polygamma, psi
+
+from esrc.specfun import _gamma_cdf
 
 N_BINS = 20
 # significance level of both goodness-of-fit gates
 GOF_LEVEL = 0.05
+# scipy.stats.chi2.ppf(1 - GOF_LEVEL, dof) for dof = 1 .. N_BINS - 1, the
+# only dofs chi_square_gof produces, copied to the last digit
+_CHI2_THRESHOLDS = (
+    3.841458820694124, 5.991464547107979, 7.814727903251179, 9.487729036781154,
+    11.070497693516351, 12.591587243743977, 14.067140449340169, 15.50731305586545,
+    16.918977604620448, 18.307038053275146, 19.67513757268249, 21.02606981748307,
+    22.362032494826934, 23.684791304840576, 24.995790139728616, 26.29622760486423,
+    27.58711163827534, 28.869299430392623, 30.14352720564616,
+)
 # samples the chi-squared gate needs (10 expected per bin), so every full gamma fit too
 _MIN_FIT_SAMPLES = 200
 _MAX_NEWTON = 200
@@ -80,15 +93,73 @@ def fit_exponential(samples):
     return float(np.mean(x))
 
 
+# B_2k / 2k and B_2k, k = 1..7: the asymptotic series of digamma and trigamma
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+# recurrence target: the seven-term series are below 1e-16 relative from here
+_SERIES_MIN = 10.0
+# the positive root of digamma, as a sum of two doubles
+_DIGAMMA_ROOT = (1.4616321449683622, 9.549995429965697e-17)
+
+
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1] (Golub & Welsch 1969)."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return tuple(zip(nodes.tolist(), (2.0 * vectors[0] ** 2).tolist()))
+
+
+_GAUSS_8 = _gauss_legendre(8)
+
+
+def _trigamma(x):
+    """psi'(x) for real x > 0: recurrence up to _SERIES_MIN, then the asymptotic series."""
+    shift = 0.0
+    while x < _SERIES_MIN:
+        shift += 1.0 / (x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    tail = 0.0
+    for c in reversed(_TRIGAMMA_SERIES):
+        tail = tail * inv2 + c
+    return shift + inv + 0.5 * inv2 + tail * inv2 * inv
+
+
+def _digamma(x):
+    """psi(x) for real x > 0: recurrence up to _SERIES_MIN, then the asymptotic series.
+
+    Within 1/4 of its root psi is small and the recurrence would cancel,
+    so there it is the integral of trigamma from the root, by the 8-point
+    Gauss-Legendre rule.
+    """
+    d = (x - _DIGAMMA_ROOT[0]) - _DIGAMMA_ROOT[1]
+    if abs(d) < 0.25:
+        half = 0.5 * d
+        return half * math.fsum(
+            w * _trigamma(_DIGAMMA_ROOT[0] + half * (1.0 + t)) for t, w in _GAUSS_8
+        )
+    shift = 0.0
+    while x < _SERIES_MIN:
+        shift += 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    tail = 0.0
+    for c in reversed(_DIGAMMA_SERIES):
+        tail = tail * inv2 + c
+    return math.log(x) - 0.5 / x - tail * inv2 - shift
+
+
 def _solve_shape(s):
     """Newton iteration for ln(alpha) - psi(alpha) = s, s > 0."""
-    alpha = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    residual = np.inf
+    alpha = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    residual = math.inf
     for _ in range(_MAX_NEWTON):
-        residual = np.log(alpha) - psi(alpha) - s
+        residual = math.log(alpha) - _digamma(alpha) - s
         if abs(residual) < _RESIDUAL_TOL:
-            return float(alpha)
-        step = residual / (1.0 / alpha - polygamma(1, alpha))
+            return alpha
+        step = residual / (1.0 / alpha - _trigamma(alpha))
         # the equation is monotone in alpha; never step out of the domain
         alpha = max(alpha - step, 0.1 * alpha)
     raise FitConvergenceError(
@@ -108,7 +179,7 @@ def fit_gamma_ml(samples):
     """
     x = _validate_samples(samples, _MIN_FIT_SAMPLES, "fit_gamma_ml")
     mean = float(np.mean(x))
-    s = np.log(mean) - float(np.mean(np.log(x)))
+    s = math.log(mean) - float(np.mean(np.log(x)))
     # Jensen gives s >= 0 with equality only for constant samples; anything
     # at rounding scale means the shape estimate diverges
     if s < 1e-12:
@@ -117,12 +188,9 @@ def fit_gamma_ml(samples):
         )
     alpha = _solve_shape(s)
     beta = mean / alpha
-
-    def fitted_cdf(t):
-        return gammainc(alpha, np.asarray(t, dtype=float) / beta)
-
-    chi2 = chi_square_gof(x, fitted_cdf, fitted_param_count=2)
-    ks = ks_gof(x, fitted_cdf)
+    u = _gamma_cdf(alpha, x / beta)
+    chi2 = chi_square_gof(u, fitted_param_count=2)
+    ks = ks_gof(u)
     return GammaFit(
         alpha=alpha,
         beta=beta,
@@ -134,23 +202,35 @@ def fit_gamma_ml(samples):
 
 
 def chi2_threshold(dof):
-    """Chi-squared critical value at GOF_LEVEL for dof degrees of freedom."""
-    # scipy.stats' chi2.ppf(1 - GOF_LEVEL) inverts the rounded upper tail
-    # 1 - (1 - GOF_LEVEL); chdtri on that same tail matches it bit for bit,
-    # where chdtri(dof, GOF_LEVEL) differs in the last place for most dofs
-    return float(chdtri(dof, 1.0 - (1.0 - GOF_LEVEL)))
+    """Chi-squared critical value at GOF_LEVEL for dof = 1 .. N_BINS - 1 degrees of freedom."""
+    if int(dof) != dof or not 1 <= dof < N_BINS:
+        raise ValueError(f"dof must be an integer in [1, {N_BINS - 1}], got {dof!r}")
+    return _CHI2_THRESHOLDS[int(dof) - 1]
 
 
-def chi_square_gof(samples, cdf, fitted_param_count):
-    """Pearson test at GOF_LEVEL on N_BINS equiprobable bins under the fitted cdf."""
-    x = _validate_samples(samples, _MIN_FIT_SAMPLES, "chi_square_gof")
+def _validate_cdf_values(cdf_values, min_count, who):
+    u = np.asarray(cdf_values, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"{who} expects a 1-d array of cdf values, got shape {u.shape}")
+    if u.size < min_count:
+        raise ValueError(f"{who} needs at least {min_count} samples, got {u.size}")
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise ValueError(f"{who} requires cdf values in [0, 1]")
+    return u
+
+
+def chi_square_gof(cdf_values, fitted_param_count):
+    """Pearson test at GOF_LEVEL on N_BINS equiprobable bins.
+
+    cdf_values holds the fitted CDF at each sample.
+    """
+    u = _validate_cdf_values(cdf_values, _MIN_FIT_SAMPLES, "chi_square_gof")
     if int(fitted_param_count) != fitted_param_count or fitted_param_count < 0:
         raise ValueError(f"fitted_param_count must be a non-negative integer")
     dof = N_BINS - 1 - int(fitted_param_count)
     if dof < 1:
         raise ValueError(f"fitted_param_count {fitted_param_count} leaves no freedom")
-    expected = x.size / N_BINS
-    u = np.clip(np.asarray(cdf(x), dtype=float), 0.0, 1.0)
+    expected = u.size / N_BINS
     observed, _ = np.histogram(u, bins=N_BINS, range=(0.0, 1.0))
     stat = float(np.sum((observed - expected) ** 2 / expected))
     return ChiSquareResult(stat=stat, dof=dof, passed=stat < chi2_threshold(dof))
@@ -161,11 +241,13 @@ def ks_threshold(n):
     return float(np.sqrt(-0.5 * np.log(0.5 * GOF_LEVEL)) / np.sqrt(n))
 
 
-def ks_gof(samples, cdf):
-    """Kolmogorov sup-distance test at GOF_LEVEL against a fully specified cdf."""
-    x = _validate_samples(samples, 50, "ks_gof")
-    n = x.size
-    f = np.asarray(cdf(np.sort(x)), dtype=float)
+def ks_gof(cdf_values):
+    """Kolmogorov sup-distance test at GOF_LEVEL against a fully specified cdf.
+
+    cdf_values holds that cdf at each sample.
+    """
+    f = np.sort(_validate_cdf_values(cdf_values, 50, "ks_gof"))
+    n = f.size
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
     stat = float(max(np.max(grid_hi - f), np.max(f - grid_lo)))

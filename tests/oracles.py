@@ -8,15 +8,17 @@ scipy.special and quadrature over the domains they promise.
 
 scalar_log_scaled_gamma, scalar_density_transform and scalar_invert_laplace
 are the scalar engine, capacity transform and Euler inversion that the
-array versions in esrc replaced, kept verbatim as the reference the array
-results are compared with: one (nu, z) pair, one node and one grid point
-at a time.  The scalar engine picks the Kummer split when |Im nu| or
-Re nu reach 2(z + 1), or when Re nu > max(z - 1, 0) and |nu| >= 1/2;
-otherwise the Lentz fraction when z >= 0.05 or |Re nu ln z| > 700;
-otherwise the anchor series, unscaled.  That rule sends real orders
--3.7 <= nu < 0 at tiny z with |nu ln z| > 700 to a fraction that stalls,
-and its fraction does not converge at the real Euler node of some grid
-points below 1e-58.
+array versions in esrc replaced, kept as the reference the array results
+are compared with: one (nu, z) pair, one node and one grid point at a
+time.  The scalar engine picks the Kummer split when |Im nu| or Re nu
+reach 2(z + 1), or when Re nu > max(z - 1, 0) and |nu| >= 1/2; otherwise
+the Lentz fraction when z >= 1 or |Re nu ln z| > 700; otherwise the
+anchor series, unscaled.  Its one change since it was replaced is the
+fraction's cutoff, z >= 1 instead of z >= 0.05, which follows the array
+engine's: below z = 1 the anchor series is the more accurate kernel.
+That rule sends real orders -3.7 <= nu < 0 at tiny z with
+|nu ln z| > 700 to a fraction that stalls, and its fraction does not
+converge at the real Euler node of some grid points below 1e-58.
 """
 
 import cmath
@@ -236,7 +238,7 @@ def scalar_log_scaled_gamma(nu, z):
         or (nu.real > max(z - 1.0, 0.0) and abs(nu) >= 0.5)
     ):
         return _kummer_log_split(nu, z)
-    if z >= 0.05 or abs(nu.real) * abs(math.log(z)) > 700.0:
+    if z >= 1.0 or abs(nu.real) * abs(math.log(z)) > 700.0:
         # The continued fraction also covers deeply negative orders at
         # small z, where the anchor series' z^nu nears the float limit.
         return cmath.log(_lentz_cf(nu, z))

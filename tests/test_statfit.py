@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from esrc.statfit import (
     GOF_LEVEL,
+    N_BINS,
     FitConvergenceError,
     GammaFit,
+    _digamma,
+    _trigamma,
     chi2_threshold,
     chi_square_gof,
     fit_exponential,
@@ -120,7 +125,7 @@ class TestChiSquareGof:
         reps = 200
         for _ in range(reps):
             x = rng.exponential(scale=1.0, size=100_000)
-            result = chi_square_gof(x, expon_cdf(np.mean(x)), fitted_param_count=1)
+            result = chi_square_gof(expon_cdf(np.mean(x))(x), fitted_param_count=1)
             passes += result.passed
         # binomial 3 sigma around 0.95: [181, 199] of 200
         assert 181 <= passes <= 199
@@ -129,42 +134,57 @@ class TestChiSquareGof:
         rng = np.random.default_rng(49)
         x = rng.exponential(scale=1.0, size=100_000)
         hi = float(np.max(x))
-        uniform_cdf = lambda t: np.asarray(t, dtype=float) / hi
-        result = chi_square_gof(x, uniform_cdf, fitted_param_count=1)
+        result = chi_square_gof(x / hi, fitted_param_count=1)
         assert not result.passed
         assert result.stat > 100.0 * result.dof
 
     def test_perfect_bins_give_zero_stat(self):
         medians = -np.log(1.0 - (np.arange(20) + 0.5) / 20.0)
         x = np.repeat(medians, 10)
-        result = chi_square_gof(x, expon_cdf(1.0), fitted_param_count=0)
+        result = chi_square_gof(expon_cdf(1.0)(x), fitted_param_count=0)
         assert result.stat == 0.0
         assert result.dof == 19
         assert result.passed
 
     def test_dof_accounts_for_fitted_params(self):
         x = np.repeat(-np.log(1.0 - (np.arange(20) + 0.5) / 20.0), 10)
-        assert chi_square_gof(x, expon_cdf(1.0), fitted_param_count=2).dof == 17
+        assert chi_square_gof(expon_cdf(1.0)(x), fitted_param_count=2).dof == 17
 
     def test_rejects_small_sample(self):
         with pytest.raises(ValueError):
-            chi_square_gof(np.linspace(0.1, 1.0, 199), expon_cdf(1.0), 0)
+            chi_square_gof(expon_cdf(1.0)(np.linspace(0.1, 1.0, 199)), 0)
 
     def test_threshold_equals_scipy_stats_exactly(self):
-        # a threshold one ulp off could flip a gate whose statistic sits on it
+        # a threshold one ulp off could flip a gate whose statistic sits on
+        # it; dof 1 .. N_BINS - 1 are all the dofs chi_square_gof produces
         off = [
             dof
-            for dof in range(1, 40)
+            for dof in range(1, N_BINS)
             if chi2_threshold(dof) != stats.chi2.ppf(1.0 - GOF_LEVEL, dof)
         ]
         assert off == []
+
+    def test_threshold_outside_the_table_raises(self):
+        for dof in (0, N_BINS, 1.5):
+            with pytest.raises(ValueError, match="dof must be an integer"):
+                chi2_threshold(dof)
+
+    def test_rejects_values_outside_the_unit_interval(self):
+        u = np.linspace(0.0, 1.0, 400)
+        for bad in (-1e-12, 1.0 + 1e-12, np.nan):
+            v = u.copy()
+            v[7] = bad
+            with pytest.raises(ValueError, match="cdf values in"):
+                chi_square_gof(v, fitted_param_count=0)
+            with pytest.raises(ValueError, match="cdf values in"):
+                ks_gof(v)
 
 
 class TestKsGof:
     def test_quantile_construction(self):
         n = 1000
         x = -np.log(1.0 - (np.arange(1, n + 1) - 0.5) / n)
-        result = ks_gof(x, expon_cdf(1.0))
+        result = ks_gof(expon_cdf(1.0)(x))
         assert result.stat == pytest.approx(0.5 / n, rel=1e-9)
         assert result.passed
 
@@ -179,17 +199,36 @@ class TestKsGof:
         reps = 200
         for _ in range(reps):
             x = rng.exponential(scale=1.0, size=100_000)
-            passes += ks_gof(x, expon_cdf(1.0)).passed
+            passes += ks_gof(expon_cdf(1.0)(x)).passed
         assert 181 <= passes <= 199
 
     def test_wrong_scale_fails(self):
         rng = np.random.default_rng(51)
         x = rng.exponential(scale=1.0, size=100_000)
-        result = ks_gof(x, expon_cdf(2.0))
+        result = ks_gof(expon_cdf(2.0)(x))
         assert not result.passed
         # sup distance between the two cdfs is 1/4 at t = 2 ln 2
         assert result.stat == pytest.approx(0.25, abs=0.02)
 
     def test_rejects_small_sample(self):
         with pytest.raises(ValueError):
-            ks_gof(np.linspace(0.1, 1.0, 49), expon_cdf(1.0))
+            ks_gof(expon_cdf(1.0)(np.linspace(0.1, 1.0, 49)))
+
+
+ORACLE_SETTINGS = settings(
+    derandomize=True, max_examples=300, deadline=None, report_multiple_bugs=False
+)
+
+
+@ORACLE_SETTINGS
+@given(x=st.floats(min_value=1e-3, max_value=1e6))
+def test_digamma_matches_scipy(x):
+    ref = special.psi(x)
+    assert abs(_digamma(x) - ref) <= 1e-14 * abs(ref)
+
+
+@ORACLE_SETTINGS
+@given(x=st.floats(min_value=1e-3, max_value=1e6))
+def test_trigamma_matches_scipy(x):
+    ref = special.polygamma(1, x)
+    assert abs(_trigamma(x) - ref) <= 1e-14 * abs(ref)

@@ -4,7 +4,18 @@ Monte Carlo simulation of semi-correlated complex Nakagami-m fading with
 banded exponential correlation, per-user post-processing SINR distribution
 fitting, and the matching analytic capacity machinery (closed-form mean,
 MGF, and Laplace-inverted sum-capacity densities).
+
+Importing the package pins BLAS and OpenMP to one thread unless the
+environment already sets a count.  This must happen before numpy loads;
+once numpy is imported, its BLAS keeps the thread count it started with.
+The Monte Carlo kernel forks one worker per CPU, and a second BLAS thread
+in each would oversubscribe the cores.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from esrc.analytic import (
     BetaVector,

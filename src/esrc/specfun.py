@@ -29,9 +29,10 @@ with the anchors Gamma(nu, 1) of the series.  The fraction yields the
 scaled quantity directly, so e^x E_1(x) stays exact far beyond the e^{-x}
 underflow point.  The Kummer split takes Gamma(nu) from _loggamma, a
 Stirling series with a recurrence shift and reflection, evaluated once per
-order for every z.  exp_scaled_e1 is the engine at nu = 0, and the Euler
-Laplace inversion completes the module.  The regularized lower incomplete
-gamma P(a, x) of the gamma fit reuses the lower series and the fraction.
+order for every z.  exp_scaled_e1 is the engine at nu = 0 (for x >= 1 the
+fraction itself, unlogged), and the Euler Laplace inversion completes the
+module.  The regularized lower incomplete gamma P(a, x) of the gamma fit
+reuses the lower series and the fraction.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ _MAX_SERIES_ITER = 10_000
 # convergence checks
 _BLOCK = 8
 _EPS = 1e-16
+# a continued-fraction step within one ulp of 1 has converged; rounding can
+# hold every later step at 1 - 2^-53, which is further from 1 than _EPS
+_CF_TOL = 2.0**-52
 # orders with Re nu <= 0 and |nu| at least this multiple of z + 1 take the
 # continued fraction's leading term
 _LEADING_TERM_NU = 2.0**30
@@ -131,7 +135,7 @@ def _lentz_cf(s, x):
     continued fraction C = 1/(x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(x+5-s - ...))),
     elementwise on 1-d arrays of real or complex orders s and positive
     reals x of one length.  An element has converged once a step within
-    the last _BLOCK changed its value by less than _EPS.
+    the last _BLOCK changed its value by at most _CF_TOL.
     """
     tiny = 1e-300
     b = x + 1.0 - s
@@ -153,8 +157,8 @@ def _lentz_cf(s, x):
             c[np.abs(c) < tiny] = tiny
             d = 1.0 / d
             delta = c * d
-            f = f * delta
-            done |= np.abs(delta - 1.0) < _EPS
+            f = f * np.where(done, 1.0, delta)
+            done |= np.abs(delta - 1.0) <= _CF_TOL
         if done.any():
             out[active[done]] = 1.0 / f[done]
             keep = ~done
@@ -368,6 +372,10 @@ def exp_scaled_e1(x):
     x = float(x)
     if not x > 0.0 or math.isinf(x):
         raise ValueError(f"exp_scaled_e1 requires finite x > 0, got {x!r}")
+    if x >= 1.0:
+        # the engine's kernel here, without the round trip through the log,
+        # which costs up to |log x| ulps
+        return float(_lentz_cf(np.zeros(1), np.array([x]))[0])
     return math.exp(_log_scaled_gamma(0.0, x).real)
 
 

@@ -16,6 +16,10 @@ and every trial can be reproduced from its chunk.
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +51,10 @@ class MonteCarloAbort(RuntimeError):
         super().__init__(message)
         self.singular_trials = singular_trials
         self.trials = trials
+
+    def __reduce__(self):
+        # pickled by message and counts, so that a forked range can send it
+        return type(self), (str(self), self.singular_trials, self.trials)
 
 
 @dataclass(frozen=True)
@@ -152,6 +160,8 @@ def zf_sinr(h, snr):
     sinr = snr / inv_diag
     if np.any(np.isinf(sinr)):
         raise NumericalError("SINR overflows float64")
+    if np.any(sinr == 0.0):
+        raise NumericalError("SINR underflows float64")
     return sinr
 
 
@@ -176,6 +186,50 @@ def trial_rng(seed, chunk, trial=0, attempt=0):
     return np.random.Generator(np.random.SFC64(seq))
 
 
+def _cpu_count():
+    """CPUs to split a point's chunks over: those of the affinity mask.
+
+    1 where the platform cannot fork or tell, and in a process that runs
+    other threads: fork copies only the calling thread, and an unpinned
+    BLAS, whose thread pool each worker would restart, would oversubscribe
+    the cores.
+    """
+    try:
+        if len(os.listdir("/proc/self/task")) == 1 and hasattr(os, "fork"):
+            return len(os.sched_getaffinity(0))
+    except OSError:
+        pass
+    return 1
+
+
+def _fork_range(run, chunks):
+    """Run run(chunks) in a forked child; returns its pid and the pipe its result comes on."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(run(chunks), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _range_result(pid, pipe):
+    """The (redraws, error) a forked range sent, once its child has exited."""
+    data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if status:
+        raise RuntimeError(
+            f"Monte Carlo worker {pid} exited with status {os.waitstatus_to_exitcode(status)}"
+        )
+    return pickle.loads(data)
+
+
 def monte_carlo_esrc(config):
     """Estimate the ergodic sum-rate capacity by independent channel draws.
 
@@ -184,6 +238,13 @@ def monte_carlo_esrc(config):
     (seed, chunk, trial, attempt) stream, up to _MAX_RESAMPLES times; if
     more than SINGULAR_TRIAL_FRACTION of trials need a redraw, the run
     aborts rather than deliver a silently biased estimate.
+
+    The chunks are split into one contiguous range per CPU of the process's
+    affinity mask (at most one per chunk).  The caller runs the first range
+    and a forked child each other one, all writing into one shared mapping;
+    the caller then replays the ranges' redraw counts and errors in chunk
+    order, so the arrays, the estimate and any error are those of one
+    process running every chunk in turn.  No child outlives the call.
     """
     trials = config.trials
     sigma = build_banded_correlation(config.correlation)
@@ -195,34 +256,82 @@ def monte_carlo_esrc(config):
         return zf_sinr(compose_channel(h_w, sqrt_sigma, config.mode), snr)
 
     step = chunk_trials(config.n_r, config.n_t)
-    samples = np.empty((config.n_users, trials))
-    rates = np.empty(trials)
-    singular_trials = 0
-    for chunk, start in enumerate(range(0, trials, step)):
-        stop = min(start + step, trials)
-        sinr = draw(trial_rng(config.seed, chunk), stop - start)
-        for i in np.flatnonzero(np.isnan(sinr).any(axis=1)):
-            for attempt in range(1, _MAX_RESAMPLES + 1):
-                (redrawn,) = draw(trial_rng(config.seed, chunk, i, attempt), 1)
-                if not np.isnan(redrawn).any():
-                    break
-            else:
-                raise MonteCarloAbort(
-                    f"trial {start + i} stayed singular after {_MAX_RESAMPLES} resamples",
-                    singular_trials=singular_trials,
-                    trials=trials,
-                )
-            sinr[i] = redrawn
-            singular_trials += 1
-            if singular_trials > SINGULAR_TRIAL_FRACTION * trials:
+    chunk_count = -(-trials // step)
+    workers = min(_cpu_count(), chunk_count)
+    bounds = [chunk_count * w // workers for w in range(workers + 1)]
+    ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    limit = SINGULAR_TRIAL_FRACTION * trials
+    size = config.n_users * trials
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (size + trials)), dtype=np.float64)
+    samples = shared[:size].reshape(config.n_users, trials)
+    rates = shared[size:]
+
+    def run(chunks):
+        """Run a range of chunks in order; returns (redraws, error).
+
+        redraws counts the range's redrawn trials and error is the exception
+        that stopped it, or None.  A range does not know the redraws of the
+        ranges before it, so the replay below raises the abort with the
+        run's count; a range stops once its own redraws cross the abort
+        fraction, since the replay then aborts at or before that redraw.
+        """
+        redraws = 0
+        try:
+            for chunk in chunks:
+                start = chunk * step
+                stop = min(start + step, trials)
+                sinr = draw(trial_rng(config.seed, chunk), stop - start)
+                for i in np.flatnonzero(np.isnan(sinr).any(axis=1)):
+                    for attempt in range(1, _MAX_RESAMPLES + 1):
+                        (redrawn,) = draw(trial_rng(config.seed, chunk, i, attempt), 1)
+                        if not np.isnan(redrawn).any():
+                            break
+                    else:
+                        raise MonteCarloAbort(
+                            f"trial {start + i} stayed singular after {_MAX_RESAMPLES} resamples",
+                            singular_trials=redraws,
+                            trials=trials,
+                        )
+                    sinr[i] = redrawn
+                    redraws += 1
+                    if redraws > limit:
+                        return redraws, None
+                samples[:, start:stop] = sinr.T
+                rates[start:stop] = sum_rate(sinr)
+        except Exception as exc:
+            return redraws, exc
+        return redraws, None
+
+    children = []
+    try:
+        for chunks in ranges[1:]:
+            children.append(_fork_range(run, chunks))
+        singular_trials = 0
+        for k, chunks in enumerate(ranges):
+            redraws, error = _range_result(*children[k - 1]) if k else run(chunks)
+            if singular_trials + redraws > limit:
+                # the serial order aborts at the first redraw past the limit
+                singular_trials = int(limit) + 1
                 raise MonteCarloAbort(
                     f"{singular_trials} of {trials} trials hit singular channels, "
                     f"above the {SINGULAR_TRIAL_FRACTION:.1%} abort threshold",
                     singular_trials=singular_trials,
                     trials=trials,
                 )
-        samples[:, start:stop] = sinr.T
-        rates[start:stop] = sum_rate(sinr)
+            singular_trials += redraws
+            if isinstance(error, MonteCarloAbort):
+                raise MonteCarloAbort(str(error), singular_trials=singular_trials, trials=trials)
+            if error is not None:
+                raise error
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            try:
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass  # reaped with its result
 
     esrc_mc = float(np.mean(rates))
     if trials > 1:

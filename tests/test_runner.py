@@ -1,5 +1,6 @@
 """Sweep planning, per-point seeding, CSV output, and the CLI surface."""
 
+import csv
 import hashlib
 import os
 import subprocess
@@ -465,6 +466,30 @@ class TestCli:
         )
         assert done.stdout.strip() == "[]"
 
+    def test_import_pins_blas_threads_unless_set(self):
+        # pinned, BLAS starts no thread, so the Monte Carlo kernel may fork
+        # one worker per CPU
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        code = (
+            "import os, esrc.zf; "
+            f"print([os.environ[name] for name in {names!r}], esrc.zf._cpu_count())"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = SRC_DIR
+        cpus = len(os.sched_getaffinity(0))
+        for preset, expected in (
+            ({}, f"['1', '1', '1'] {cpus}"),
+            ({names[0]: "2"}, "['2', '1', '1']"),
+        ):
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env={**env, **preset},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            assert done.stdout.strip().startswith(expected)
+
     def write_cfg(self, tmp_path, extra=""):
         path = tmp_path / "sweep.cfg"
         path.write_text(tiny_doc(extra))
@@ -533,6 +558,17 @@ class TestCli:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [(row[2], row[-1]) for row in rows] == [("1", "failed"), ("7", "ok")]
         assert rows[0][7] == "" and float(rows[1][7]) > 0.0
+
+    def test_underflowing_sinr_fails_alone(self, tmp_path):
+        # -3233 dB passes the parse-time check as the smallest subnormal SNR,
+        # and the SINR underflows to 0; the 10 dB row must survive
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n_t = 4\nn_r = 4\ntrials = 50\n[sweep.snr_db]\nvalues = 10, -3233\n")
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert {row["snr_db"]: row["status"] for row in rows} == {"10": "ok", "-3233": "failed"}
+        assert all(row["esrc_mc"] == "" for row in rows if row["status"] == "failed")
 
     def test_pdf_table(self, tmp_path):
         out = tmp_path / "pdf.dat"

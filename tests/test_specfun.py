@@ -133,6 +133,17 @@ class TestExpScaledE1:
         for x in (1e10, 1e100, 1e300):
             assert math.isclose(exp_scaled_e1(x), (1.0 - 1.0 / x) / x, rel_tol=1e-12), x
 
+    def test_converges_at_every_scale(self):
+        # x e^x E_1(x) = 1 - 1/x + 2/x^2 - ... tends to 1.  The fraction
+        # stalled at x = 9e299, where rounding held every step at 1 - 2^-53,
+        # further from 1 than the old stop test allowed
+        with mpmath.workdps(40):
+            for x in np.logspace(1, 307, 400):
+                big = mpmath.mpf(x)
+                exact = float(big * mpmath.exp(big) * mpmath.e1(big))
+                assert abs(x * exp_scaled_e1(x) - exact) <= 1e-15, x
+        assert math.isclose(9e299 * exp_scaled_e1(9e299), 1.0, abs_tol=1e-15)
+
     def test_consistency_with_gamma(self):
         for x in (0.3, 1.0, 4.0, 20.0):
             assert math.isclose(exp_scaled_e1(x) * math.exp(-x),

@@ -1,5 +1,8 @@
 """Tests for zero-forcing SINR, sum rate, and the Monte Carlo estimator."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -44,6 +47,43 @@ def make_config(**overrides):
     )
     base.update(overrides)
     return SystemConfig(**base)
+
+
+def each_path(monkeypatch):
+    """Run the kernel's chunks in the caller alone, then split with a forked child."""
+    for workers in (1, 2):
+        monkeypatch.setattr(esrc.zf, "_cpu_count", lambda w=workers: w)
+        yield workers
+
+
+def track_streams(monkeypatch):
+    """Record the spawn key (chunk, trial, attempt) of the stream the kernel drew last.
+
+    Fakes keyed on it act on the same trials in a forked range as in one
+    process; fakes that count calls would not, since a child counts its own.
+    """
+    real = esrc.zf.trial_rng
+    current = {}
+
+    def keyed(seed, chunk, trial=0, attempt=0):
+        current["key"] = (chunk, trial, attempt)
+        return real(seed, chunk, trial, attempt)
+
+    monkeypatch.setattr(esrc.zf, "trial_rng", keyed)
+    return current
+
+
+def mark_singular(monkeypatch, rows):
+    """zf_sinr returns NaN in the rows rows(key) of each draw from stream key."""
+    current = track_streams(monkeypatch)
+    real = esrc.zf.zf_sinr
+
+    def marked(h, snr):
+        sinr = real(h, snr)
+        sinr[rows(current["key"])] = np.nan
+        return sinr
+
+    monkeypatch.setattr(esrc.zf, "zf_sinr", marked)
 
 
 class TestZfSinr:
@@ -211,24 +251,21 @@ class TestMonteCarloEsrc:
 
     def test_abort_when_too_many_singular(self, monkeypatch):
         # the kernel redraws the trials whose zf_sinr rows come back NaN;
-        # here every other trial it sees, redraws included, is singular
-        calls = {"n": 0}
-        real = esrc.zf.zf_sinr
+        # here every other trial of each chunk is singular, and so is every
+        # odd attempt to redraw one
+        def rows(key):
+            _, _, attempt = key
+            if attempt == 0:
+                return slice(0, None, 2)
+            return [0] if attempt % 2 else []
 
-        def flaky(h, snr):
-            sinr = real(h, snr)
-            for row in sinr:
-                calls["n"] += 1
-                if calls["n"] % 2 == 1:
-                    row[:] = np.nan
-            return sinr
-
-        monkeypatch.setattr(esrc.zf, "zf_sinr", flaky)
+        mark_singular(monkeypatch, rows)
         cfg = make_config(trials=2000)
-        with pytest.raises(MonteCarloAbort) as excinfo:
-            monte_carlo_esrc(cfg)
-        assert excinfo.value.singular_trials > 2
-        assert excinfo.value.trials == 2000
+        for workers in each_path(monkeypatch):
+            with pytest.raises(MonteCarloAbort, match="3 of 2000 trials") as excinfo:
+                monte_carlo_esrc(cfg)
+            assert excinfo.value.singular_trials > 2, workers
+            assert excinfo.value.trials == 2000
 
     def test_abort_when_trial_stays_singular(self, monkeypatch):
         def always_singular(h, snr):
@@ -244,62 +281,212 @@ class TestMonteCarloEsrc:
         step = chunk_trials(8, 8)
         _, clean = monte_carlo_esrc(cfg)
         real = esrc.zf.zf_sinr
-        chunk, trial = 1, 100
-        seen = {"chunks": 0}
-
-        def one_singular(h, snr):
-            sinr = real(h, snr)
-            if len(h) > 1:
-                seen["chunks"] += 1
-                if seen["chunks"] == chunk + 1:
-                    sinr[trial] = np.nan
-            return sinr
-
-        monkeypatch.setattr(esrc.zf, "zf_sinr", one_singular)
-        _, sset = monte_carlo_esrc(cfg)
-        column = chunk * step + trial
-        others = np.arange(cfg.trials) != column
-        assert np.array_equal(sset.samples[:, others], clean.samples[:, others])
-        # the replacement is attempt 1 of (seed, chunk, trial)
         root = matrix_sqrt(build_banded_correlation(cfg.correlation))
-        rng = trial_rng(cfg.seed, chunk, trial, 1)
-        h_w = sample_channel_matrix(8, 8, cfg.fading, rng, trials=1)
-        expected = real(compose_channel(h_w, root, cfg.mode), cfg.snr_linear)[0]
-        assert np.array_equal(sset.samples[:, column], expected)
-        assert not np.array_equal(sset.samples[:, column], clean.samples[:, column])
-        # the redraw is counted: a second one in the same run crosses the
-        # 0.1% abort fraction of 1000 trials
-        seen["chunks"] = 0
-        trial = [100, 101]
-        with pytest.raises(MonteCarloAbort, match="2 of 1000 trials"):
-            monte_carlo_esrc(cfg)
+        trial = 100
+        marks = {}
+        mark_singular(monkeypatch, lambda key: marks.get(key, []))
+        # 1000 trials are chunks 0-3; forked, chunk 1 is in the caller's
+        # range and chunk 3 in the child's
+        for workers in each_path(monkeypatch):
+            for chunk in (1, 3):
+                marks.clear()
+                marks[(chunk, 0, 0)] = [trial]
+                _, sset = monte_carlo_esrc(cfg)
+                column = chunk * step + trial
+                others = np.arange(cfg.trials) != column
+                assert np.array_equal(sset.samples[:, others], clean.samples[:, others])
+                # the replacement is attempt 1 of (seed, chunk, trial)
+                rng = trial_rng(cfg.seed, chunk, trial, 1)
+                h_w = sample_channel_matrix(8, 8, cfg.fading, rng, trials=1)
+                expected = real(compose_channel(h_w, root, cfg.mode), cfg.snr_linear)[0]
+                assert np.array_equal(sset.samples[:, column], expected), (workers, chunk)
+                assert not np.array_equal(sset.samples[:, column], clean.samples[:, column])
+                # the redraw is counted: a second one in the same run crosses
+                # the 0.1% abort fraction of 1000 trials
+                marks[(chunk, 0, 0)] = [trial, trial + 1]
+                with pytest.raises(MonteCarloAbort, match="2 of 1000 trials"):
+                    monte_carlo_esrc(cfg)
 
     def test_chunk_whose_cholesky_raises_runs_one_trial_at_a_time(self, monkeypatch):
         # 1000 trials allow one singular trial below the abort fraction
         cfg = make_config(trials=1000)
         _, clean = monte_carlo_esrc(cfg)
+        current = track_streams(monkeypatch)
         real = esrc.zf.compose_channel
         bad = 17
         grams = []
 
         def zero_column(h_w, sqrt_sigma, mode):
             h = real(h_w, sqrt_sigma, mode)
-            if len(h) > 1 and not grams:
+            if current["key"] == (0, 0, 0):
                 h[bad, :, 3] = 0.0
                 grams.append(h.conj().swapaxes(-1, -2) @ h)
             return h
 
         monkeypatch.setattr(esrc.zf, "compose_channel", zero_column)
-        _, sset = monte_carlo_esrc(cfg)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(grams[0])
-        others = np.arange(cfg.trials) != bad
-        assert np.array_equal(sset.samples[:, others], clean.samples[:, others])
-        # the zeroed trial is replaced by attempt 1 of (seed, 0, bad)
         root = matrix_sqrt(build_banded_correlation(cfg.correlation))
         h_w = sample_channel_matrix(8, 8, cfg.fading, trial_rng(cfg.seed, 0, bad, 1), trials=1)
         expected = esrc.zf.zf_sinr(real(h_w, root, cfg.mode), cfg.snr_linear)[0]
-        assert np.array_equal(sset.samples[:, bad], expected)
+        others = np.arange(cfg.trials) != bad
+        # chunk 0 is in the caller's range on both paths
+        for workers in each_path(monkeypatch):
+            grams.clear()
+            _, sset = monte_carlo_esrc(cfg)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(grams[0])
+            assert np.array_equal(sset.samples[:, others], clean.samples[:, others]), workers
+            # the zeroed trial is replaced by attempt 1 of (seed, 0, bad)
+            assert np.array_equal(sset.samples[:, bad], expected), workers
+
+
+class TestForkedRanges:
+    """The chunks split into one range per CPU, the first run by the caller and
+    each other by a forked child, give the bytes and errors of one process."""
+
+    def run_with(self, monkeypatch, workers, cfg):
+        monkeypatch.setattr(esrc.zf, "_cpu_count", lambda: workers)
+        return monte_carlo_esrc(cfg)
+
+    # 1, 2, 3, 4 and 4 chunks of 256 trials at 8x8; 313 chunks of 8 at 64x32
+    @pytest.mark.parametrize(
+        "n_r, n_t, side, trials",
+        [
+            (8, 8, "transmit", 256),
+            (8, 8, "transmit", 512),
+            (8, 8, "transmit", 768),
+            (8, 8, "transmit", 1000),
+            (8, 8, "transmit", 1001),
+            (64, 32, "receive", 2500),
+        ],
+    )
+    def test_ranges_give_the_bytes_of_one_process(self, monkeypatch, n_r, n_t, side, trials):
+        n = n_t if side == "transmit" else n_r
+        cfg = make_config(
+            n_t=n_t,
+            n_r=n_r,
+            fading=FadingParams(m=0.7, omega=1.0),
+            correlation=CorrelationSpec(n=n, rho=0.3, l_band=n - 1),
+            mode=SemiCorrelationMode(side),
+            trials=trials,
+            seed=7,
+        )
+        result, sset = self.run_with(monkeypatch, 1, cfg)
+        for workers in (2, 3):
+            split_result, split = self.run_with(monkeypatch, workers, cfg)
+            # the mean and standard error are those of the same per-trial rates
+            assert split_result == result, workers
+            assert np.array_equal(split.samples, sset.samples), workers
+
+    def test_a_worker_that_dies_is_reported(self, monkeypatch):
+        current = track_streams(monkeypatch)
+        real = esrc.zf.zf_sinr
+
+        def dying(h, snr):
+            if current["key"] == (3, 0, 0):
+                os._exit(3)
+            return real(h, snr)
+
+        monkeypatch.setattr(esrc.zf, "zf_sinr", dying)
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            self.run_with(monkeypatch, 2, make_config(trials=1000))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_process_with_other_threads_does_not_fork(self):
+        started, release = threading.Event(), threading.Event()
+
+        def wait():
+            started.set()
+            release.wait(10.0)
+
+        thread = threading.Thread(target=wait)
+        thread.start()
+        try:
+            assert started.wait(10.0)
+            assert esrc.zf._cpu_count() == 1
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
+
+    def outcome(self, monkeypatch, workers, cfg):
+        monkeypatch.setattr(esrc.zf, "_cpu_count", lambda: workers)
+        with pytest.raises((MonteCarloAbort, NumericalError)) as excinfo:
+            monte_carlo_esrc(cfg)
+        error = excinfo.value
+        return type(error), str(error), getattr(error, "singular_trials", None)
+
+    # with 1000 trials, chunks 0-1 are the caller's range and 2-3 the child's
+    @pytest.mark.parametrize(
+        "marks, stuck, expected, singular_trials",
+        [
+            ({0: [5]}, (0, 5), "trial 5 stayed singular", 0),
+            ({3: [5]}, (3, 5), "trial 773 stayed singular", 0),
+            ({1: [9], 3: [5]}, (3, 5), "trial 773 stayed singular", 1),
+            ({3: [5, 6]}, None, "2 of 1000 trials", 2),
+            ({1: [9], 2: [5]}, None, "2 of 1000 trials", 2),
+        ],
+    )
+    def test_aborts_match_one_process(self, monkeypatch, marks, stuck, expected, singular_trials):
+        # the marked trials of each chunk stream are singular, and so is
+        # every redraw of the stuck (chunk, trial)
+        def rows(key):
+            chunk, trial, attempt = key
+            if attempt:
+                return [0] if (chunk, trial) == stuck else []
+            return marks.get(chunk, [])
+
+        mark_singular(monkeypatch, rows)
+        cfg = make_config(trials=1000)
+        serial = self.outcome(monkeypatch, 1, cfg)
+        assert serial[0] is MonteCarloAbort and expected in serial[1]
+        assert serial[2] == singular_trials
+        assert self.outcome(monkeypatch, 2, cfg) == serial
+
+    @pytest.mark.parametrize("chunk", [0, 3])
+    def test_numerical_errors_match_one_process(self, monkeypatch, chunk):
+        # the SINR of one chunk underflows; forked, chunk 3 raises in the child
+        current = track_streams(monkeypatch)
+        real = esrc.zf.zf_sinr
+
+        def underflow(h, snr):
+            return real(h, 5e-324 if current["key"] == (chunk, 0, 0) else snr)
+
+        monkeypatch.setattr(esrc.zf, "zf_sinr", underflow)
+        cfg = make_config(trials=1000)
+        serial = self.outcome(monkeypatch, 1, cfg)
+        assert serial == (NumericalError, "SINR underflows float64", None)
+        assert self.outcome(monkeypatch, 2, cfg) == serial
+
+    # 2500 trials at 64x32 are chunks 0-155 for the caller and 156-312 for
+    # the child, which is still running when the caller's first chunk fails
+    @pytest.mark.parametrize(
+        "failure, chunk", [(None, None), (NumericalError, 156), (KeyboardInterrupt, 0)]
+    )
+    def test_no_child_outlives_the_call(self, monkeypatch, failure, chunk):
+        current = track_streams(monkeypatch)
+        real = esrc.zf.zf_sinr
+
+        def failing(h, snr):
+            if current["key"] == (chunk, 0, 0):
+                raise failure("injected")
+            return real(h, snr)
+
+        monkeypatch.setattr(esrc.zf, "zf_sinr", failing)
+        cfg = make_config(
+            n_t=32,
+            n_r=64,
+            correlation=CorrelationSpec(n=64, rho=0.3, l_band=63),
+            mode=SemiCorrelationMode("receive"),
+            trials=2500,
+        )
+        if failure is None:
+            self.run_with(monkeypatch, 2, cfg)
+        else:
+            with pytest.raises(failure, match="injected"):
+                self.run_with(monkeypatch, 2, cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestChunkedKernel:
@@ -359,6 +546,12 @@ class TestChunkedKernel:
         # a finite Gram matrix whose SINR overflows
         with pytest.raises(NumericalError, match="overflow"):
             zf_sinr(np.eye(4)[None] * 1e150, 1e10)
+
+    def test_underflowing_sinr_raises_numerical_error(self):
+        # diag(G^-1) is 4, and the smallest subnormal over 4 rounds to 0
+        for h in (0.5 * np.eye(4), 0.5 * np.eye(4)[None]):
+            with pytest.raises(NumericalError, match="underflow"):
+                zf_sinr(h, 5e-324)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fading_power_near_the_float_limit_is_reported_as_overflow(self):

@@ -147,7 +147,7 @@ def _lentz_cf(s, x):
     for n in range(1, _MAX_CF_ITER + 1, _BLOCK):
         if active.size == 0:
             break
-        done = np.zeros(active.size, dtype=bool)
+        live = np.ones(active.size, dtype=bool)
         for k in range(n, n + _BLOCK):
             a = k * (s - k)
             b = b + 2.0
@@ -157,8 +157,10 @@ def _lentz_cf(s, x):
             c[np.abs(c) < tiny] = tiny
             d = 1.0 / d
             delta = c * d
-            f = f * np.where(done, 1.0, delta)
-            done |= np.abs(delta - 1.0) <= _CF_TOL
+            # a converged element keeps its value for the rest of the block
+            np.multiply(f, delta, out=f, where=live)
+            live &= np.abs(delta - 1.0) > _CF_TOL
+        done = ~live
         if done.any():
             out[active[done]] = 1.0 / f[done]
             keep = ~done

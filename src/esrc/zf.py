@@ -118,7 +118,7 @@ def _checked_inverse_diagonal(gram):
         ) from None
 
 
-def zf_sinr(h, snr):
+def zf_sinr(h, snr, out=None):
     """Per-stream SINR snr / [(H*H)^{-1}]_{kk} of one channel or a stack of them.
 
     One n_r x n_t channel whose Gram matrix has a condition number of
@@ -130,6 +130,10 @@ def zf_sinr(h, snr):
     inverse already gives; only the trials it does not clear, or every
     trial of a stack whose batched Cholesky raises, take the exact
     per-trial eigvalsh check.
+
+    out, if given, is two C-contiguous complex128 buffers that receive H*
+    (h's shape) and the Gram matrix H*H (shape (..., n_t, n_t)) in place of
+    allocating them.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim not in (2, 3):
@@ -139,7 +143,8 @@ def zf_sinr(h, snr):
         raise ValueError(f"zero-forcing needs n_r >= n_t, got {n_r}x{n_t}")
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr!r}")
-    gram = h.conj().swapaxes(-1, -2) @ h
+    conj, gram = (None, None) if out is None else out
+    gram = np.matmul(np.conjugate(h, out=conj).swapaxes(-1, -2), h, out=gram)
     if not np.all(np.isfinite(gram)):
         raise NumericalError("Gram matrix H*H overflows float64")
     if h.ndim == 2:
@@ -251,11 +256,26 @@ def monte_carlo_esrc(config):
     sqrt_sigma = matrix_sqrt(sigma, spec=config.correlation)
     snr = config.snr_linear
 
-    def draw(rng, count):
-        h_w = sample_channel_matrix(config.n_r, config.n_t, config.fading, rng, trials=count)
-        return zf_sinr(compose_channel(h_w, sqrt_sigma, config.mode), snr)
+    n_r, n_t = config.n_r, config.n_t
+    step = chunk_trials(n_r, n_t)
+    # One workspace for every chunk and redraw, allocated before the fork.
+    # Arrays allocated and freed per chunk made glibc return the heap's top
+    # pages to the kernel and fault them in again on the next chunk.
+    work = np.empty((3, step, n_r, n_t, 2))
 
-    step = chunk_trials(config.n_r, config.n_t)
+    def draw(rng, count):
+        gamma, uniform, boost = work[:, :count]
+        h_w = sample_channel_matrix(
+            n_r, n_t, config.fading, rng, trials=count, out=(gamma, uniform, boost)
+        )
+        # each buffer is taken over once its last reader is done with it:
+        # the channel goes where the uniforms were, H* where the boost was
+        # and the Gram matrices where h_w was
+        h = compose_channel(h_w, sqrt_sigma, config.mode, out=uniform.view(np.complex128)[..., 0])
+        conj = boost.view(np.complex128)[..., 0]
+        gram = gamma.reshape(-1).view(np.complex128)[: count * n_t * n_t]
+        return zf_sinr(h, snr, out=(conj, gram.reshape(count, n_t, n_t)))
+
     chunk_count = -(-trials // step)
     workers = min(_cpu_count(), chunk_count)
     bounds = [chunk_count * w // workers for w in range(workers + 1)]

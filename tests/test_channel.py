@@ -13,6 +13,7 @@ from esrc.channel import (
     sample_nakagami_component,
 )
 from esrc.correlation import CorrelationSpec, build_banded_correlation, matrix_sqrt
+from esrc.zf import chunk_trials, trial_rng
 from oracles import nakagami_component_pdf
 
 
@@ -21,6 +22,18 @@ def component_cdf(x, params):
     x = np.asarray(x, dtype=float)
     g_cdf = stats.gamma.cdf(x * x, 0.5 * params.m, scale=params.omega / params.m)
     return 0.5 * (1.0 + np.sign(x) * g_cdf)
+
+
+def reference_component(params, rng, size):
+    """The component draw written with numpy's allocating calls and uniform(-1, 1)."""
+    v = rng.spawn(1)[0].uniform(-1.0, 1.0, size=size)
+    g = rng.standard_gamma(0.5 * params.m + 1.0, size=size)
+    boost = np.abs(v)
+    np.power(boost, 2.0 / params.m, out=boost)
+    boost *= params.omega / params.m
+    g *= boost
+    np.sqrt(g, out=g)
+    return np.copysign(g, v, out=g)
 
 
 class TestFadingParams:
@@ -48,13 +61,13 @@ class TestSemiCorrelationMode:
 class TestSampleNakagamiComponent:
     def test_requires_generator(self):
         with pytest.raises(TypeError, match="Generator"):
-            sample_nakagami_component(FadingParams(m=1.0, omega=1.0), rng=42)
+            sample_nakagami_component(FadingParams(m=1.0, omega=1.0), rng=42, size=4)
 
     def test_requires_spawnable_bit_generator(self):
         # a keyed Philox has no SeedSequence, so it cannot spawn the sign stream
         rng = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
         with pytest.raises(TypeError, match="SeedSequence.*Philox"):
-            sample_nakagami_component(FadingParams(m=1.0, omega=1.0), rng=rng)
+            sample_nakagami_component(FadingParams(m=1.0, omega=1.0), rng=rng, size=4)
 
     def test_streams_built_alike_draw_alike(self):
         params = FadingParams(m=0.7, omega=1.2)
@@ -76,13 +89,6 @@ class TestSampleNakagamiComponent:
         # the sign stream is not the magnitude stream
         magnitude_uniforms = rng().uniform(-1.0, 1.0, size=1000)
         assert 400 < np.sum(np.sign(magnitude_uniforms) == np.sign(v)) < 600
-
-    def test_scalar_draw_is_first_of_a_size_one_draw(self):
-        params = FadingParams(m=0.7, omega=1.2)
-        h = sample_nakagami_component(params, np.random.default_rng(8))
-        assert isinstance(h, float)
-        first = sample_nakagami_component(params, np.random.default_rng(8), size=1)[0]
-        assert h == first
 
     def test_second_moment_is_half_omega(self):
         rng = np.random.default_rng(11)
@@ -237,3 +243,37 @@ class TestComposeChannel:
             h = compose_channel(sample_channel_matrix(4, 4, params, rng, trials=n_mat), root, mode)
             total = np.sum(np.abs(h) ** 2)
             assert total / n_mat == pytest.approx(16.0, rel=0.01), side
+
+
+class TestWorkspace:
+    """Draws and products written into caller buffers are those of the allocating calls."""
+
+    # at 64x32 a chunk is 8 trials, so 2500 trials end in a chunk of 4
+    DRAWS = [((0,), 8), ((312,), 4), ((312, 2, 1), 1)]
+
+    @pytest.mark.parametrize("m", [0.7, 2.5])
+    def test_buffered_draws_match_allocating_draws(self, m):
+        params = FadingParams(m=m, omega=1.2)
+        assert chunk_trials(64, 32) == 8 and 312 * 8 + 4 == 2500
+        work = np.full((3, 8, 64, 32, 2), np.nan)
+        # one workspace serves a full chunk, the short last chunk and a redraw in turn
+        for key, count in self.DRAWS:
+            out = tuple(work[:, :count])
+            h = sample_channel_matrix(64, 32, params, trial_rng(7, *key), trials=count, out=out)
+            assert np.shares_memory(h, work[0])
+            expected = sample_channel_matrix(64, 32, params, trial_rng(7, *key), trials=count)
+            assert np.array_equal(h, expected), key
+            reference = reference_component(params, trial_rng(7, *key), (count, 64, 32, 2))
+            assert np.array_equal(h, reference.view(np.complex128)[..., 0]), key
+
+    @pytest.mark.parametrize("side, n", [("receive", 64), ("transmit", 32)])
+    def test_buffered_compose_matches_allocating_compose(self, side, n):
+        params = FadingParams(m=0.7, omega=1.0)
+        root = matrix_sqrt(build_banded_correlation(CorrelationSpec(n=n, rho=0.3, l_band=n - 1)))
+        mode = SemiCorrelationMode(side)
+        out = np.full((8, 64, 32), np.nan, dtype=complex)
+        for key, count in self.DRAWS:
+            h_w = sample_channel_matrix(64, 32, params, trial_rng(7, *key), trials=count)
+            h = compose_channel(h_w, root, mode, out=out[:count])
+            assert np.shares_memory(h, out)
+            assert np.array_equal(h, compose_channel(h_w, root, mode)), key

@@ -1,7 +1,11 @@
 """Tests for zero-forcing SINR, sum rate, and the Monte Carlo estimator."""
 
 import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,8 +82,8 @@ def mark_singular(monkeypatch, rows):
     current = track_streams(monkeypatch)
     real = esrc.zf.zf_sinr
 
-    def marked(h, snr):
-        sinr = real(h, snr)
+    def marked(h, snr, out=None):
+        sinr = real(h, snr, out=out)
         sinr[rows(current["key"])] = np.nan
         return sinr
 
@@ -268,7 +272,7 @@ class TestMonteCarloEsrc:
             assert excinfo.value.trials == 2000
 
     def test_abort_when_trial_stays_singular(self, monkeypatch):
-        def always_singular(h, snr):
+        def always_singular(h, snr, out=None):
             return np.full((len(h), h.shape[-1]), np.nan)
 
         monkeypatch.setattr(esrc.zf, "zf_sinr", always_singular)
@@ -316,8 +320,8 @@ class TestMonteCarloEsrc:
         bad = 17
         grams = []
 
-        def zero_column(h_w, sqrt_sigma, mode):
-            h = real(h_w, sqrt_sigma, mode)
+        def zero_column(h_w, sqrt_sigma, mode, out=None):
+            h = real(h_w, sqrt_sigma, mode, out=out)
             if current["key"] == (0, 0, 0):
                 h[bad, :, 3] = 0.0
                 grams.append(h.conj().swapaxes(-1, -2) @ h)
@@ -381,10 +385,10 @@ class TestForkedRanges:
         current = track_streams(monkeypatch)
         real = esrc.zf.zf_sinr
 
-        def dying(h, snr):
+        def dying(h, snr, out=None):
             if current["key"] == (3, 0, 0):
                 os._exit(3)
-            return real(h, snr)
+            return real(h, snr, out=out)
 
         monkeypatch.setattr(esrc.zf, "zf_sinr", dying)
         with pytest.raises(RuntimeError, match="exited with status 3"):
@@ -449,8 +453,8 @@ class TestForkedRanges:
         current = track_streams(monkeypatch)
         real = esrc.zf.zf_sinr
 
-        def underflow(h, snr):
-            return real(h, 5e-324 if current["key"] == (chunk, 0, 0) else snr)
+        def underflow(h, snr, out=None):
+            return real(h, 5e-324 if current["key"] == (chunk, 0, 0) else snr, out=out)
 
         monkeypatch.setattr(esrc.zf, "zf_sinr", underflow)
         cfg = make_config(trials=1000)
@@ -467,10 +471,10 @@ class TestForkedRanges:
         current = track_streams(monkeypatch)
         real = esrc.zf.zf_sinr
 
-        def failing(h, snr):
+        def failing(h, snr, out=None):
             if current["key"] == (chunk, 0, 0):
                 raise failure("injected")
-            return real(h, snr)
+            return real(h, snr, out=out)
 
         monkeypatch.setattr(esrc.zf, "zf_sinr", failing)
         cfg = make_config(
@@ -577,6 +581,60 @@ class TestChunkedKernel:
         assert np.all(np.isnan(sinr[0]))
         assert sinr[1] == pytest.approx([1.0, 1e-10], rel=1e-9)
         assert np.array_equal(sinr[2], [1.0, 1.0])
+
+    def test_buffered_sinr_matches_allocating_sinr(self):
+        # trial 0's cond 1e14 passes Cholesky, so the trace bound sends it to
+        # eigvalsh; with a zeroed column the batched Cholesky raises and every
+        # trial takes the exact path
+        rng = np.random.default_rng(5)
+        zeroed = rng.standard_normal((6, 5, 4)) + 1j * rng.standard_normal((6, 5, 4))
+        zeroed[2, :, 1] = 0.0
+        ill = np.stack([np.diag([1.0, 1e-7]), np.diag([1.0, 1e-5]), np.eye(2)]).astype(complex)
+        for h in (zeroed, ill):
+            n_t = h.shape[-1]
+            conj = np.full(h.shape, np.nan, dtype=complex)
+            gram = np.full((len(h), n_t, n_t), np.nan, dtype=complex)
+            sinr = zf_sinr(h, 3.0, out=(conj, gram))
+            assert np.array_equal(sinr, zf_sinr(h, 3.0), equal_nan=True)
+            assert np.isnan(sinr).any()
+            assert np.array_equal(gram, h.conj().swapaxes(-1, -2) @ h)
+
+    def test_chunks_fault_in_no_fresh_pages(self):
+        # Arrays allocated and freed per chunk made glibc trim the heap's top,
+        # and each 8-trial chunk faulted about 1 MB in again: some 80,000
+        # minor faults for this point, against a few hundred with the workspace.
+        pytest.importorskip("resource")
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("minor fault counts are read on Linux")
+        code = textwrap.dedent(
+            """
+            import resource
+            import esrc.zf
+            from esrc.channel import FadingParams, SemiCorrelationMode
+            from esrc.config import SystemConfig
+            from esrc.correlation import CorrelationSpec
+
+            esrc.zf._cpu_count = lambda: 1
+            cfg = SystemConfig(
+                n_t=32,
+                n_r=64,
+                snr_db=10.0,
+                fading=FadingParams(m=0.7, omega=1.0),
+                correlation=CorrelationSpec(n=64, rho=0.3, l_band=63),
+                mode=SemiCorrelationMode("receive"),
+                trials=2500,
+                seed=7,
+            )
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            esrc.zf.monte_carlo_esrc(cfg)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(esrc.zf.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(done.stdout) < 8000
 
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(

@@ -4,10 +4,9 @@ With per-user SINR gamma_k exponentially distributed with scale beta_k
 (the ZF fit with shape pinned at 1), the mean sum capacity in bits/s/Hz
 is sum_k e^{1/beta_k} E_1(1/beta_k) / ln 2, evaluated here entirely in
 the overflow-free scaled form.  The sum-capacity moment generating
-function factors over users into Tricomi U(1, 2 + s/ln2, 1/beta_k)
-terms; its derivative at the origin reproduces the closed form, and
-numerically inverting the matching Laplace transform gives the capacity
-density itself.
+function M(s) factors over users into Tricomi U(1, 2 + s/ln2, 1/beta_k)
+terms, and numerically inverting the matching Laplace transform M(-s)
+gives the capacity density itself.
 
 The density's right tail decays double-exponentially, so its transform
 is entire and grows super-exponentially into the left half-plane; the
@@ -36,7 +35,6 @@ GRID_MAX_BITS = 64.0
 # orders nu = 1 - s/ln2 they give, leave the float range (near 1.4e-306)
 GRID_MIN_BITS = 1e-305
 _TAIL_MASS = 1e-6
-_MGF_STEP = 1e-4
 # (user, Euler node) pairs per transform call; the engine holds about 60
 # bytes per pair, so one call stays near 16 MB however long the grid
 _PAIRS_PER_CALL = 2**18
@@ -77,42 +75,20 @@ def esrc_closed_form(b):
 
 
 def _log_mgf(s, b):
-    """log M(s) summed over users, elementwise on an array of s (complex allowed)."""
+    """log M(s) summed over users, elementwise on an array of s (complex allowed).
+
+    User k's factor of M(s) = E[e^{s xi}] is U(1, 2 + s/ln2, 1/beta_k)/beta_k.
+    """
     betas = np.array(b.betas)
     nu = 1.0 + np.asarray(s) / LN2  # U(1, 2 + s/ln2, z) = U(1, nu + 1, z)
     return np.sum(_log_scaled_gamma(nu, 1.0 / betas), axis=0) - np.sum(np.log(betas))
-
-
-def sum_capacity_mgf(s, b):
-    """MGF E[e^{s*xi}] of the sum capacity xi, for Re(s) >= -ln 2.
-
-    Factors over users because ZF processing decorrelates the per-user
-    SINRs; each factor is U(1, 2 + s/ln2, 1/beta_k)/beta_k.
-    """
-    s_complex = complex(s)
-    if s_complex.real < -LN2:
-        raise ValueError(
-            f"s={s!r} lies left of the convergence boundary Re(s) >= -ln 2"
-        )
-    value = np.exp(_log_mgf(s_complex, b))
-    if isinstance(s, complex):
-        return complex(value)
-    return float(value.real)
-
-
-def mgf_mean_check(b):
-    """|dM/ds| at s = 0 by central difference; numerically verifies the closed form."""
-    forward = sum_capacity_mgf(_MGF_STEP, b)
-    backward = sum_capacity_mgf(-_MGF_STEP, b)
-    return abs(forward - backward) / (2.0 * _MGF_STEP)
 
 
 def _density_transform(b):
     """Laplace transform of the capacity density: L(s) = M(-s), on an array of complex s.
 
     The Euler inversion nodes have large positive real parts, so L is
-    evaluated deep in M's left half-plane through the log-space
-    incomplete-gamma machinery rather than the gated public MGF.
+    evaluated deep in M's left half-plane, in log space throughout.
     """
 
     def transform(s):

@@ -91,20 +91,19 @@ def sample_nakagami_component(params, rng, size, out=None):
     return g
 
 
-def sample_channel_matrix(n_r, n_t, params, rng, trials=None, out=None):
-    """n_r x n_t complex matrix with i.i.d. entries h_I + j h_Q, E[|h|^2] = omega.
+def sample_channel_matrix(n_r, n_t, params, rng, trials, out=None):
+    """A stack of trials n_r x n_t complex matrices with i.i.d. entries h_I + j h_Q.
 
-    With trials = c it returns a stack of shape (c, n_r, n_t), trial-major,
-    so the first k trials of a stack are the stack of k trials.  Both
-    quadratures come from one component draw of shape (..., n_r, n_t, 2),
-    which views as complex128 without a copy; out, if given, is the
-    component draw's three buffers (see sample_nakagami_component), and the
-    result is a view of the first.
+    Each entry has E[|h|^2] = omega.  The stack has shape (trials, n_r, n_t)
+    and is trial-major, so the first k trials of a stack are the stack of k
+    trials.  Both quadratures come from one component draw of shape
+    (trials, n_r, n_t, 2), which views as complex128 without a copy; out, if
+    given, is the component draw's three buffers (see
+    sample_nakagami_component), and the result is a view of the first.
     """
     if int(n_r) != n_r or n_r < 1 or int(n_t) != n_t or n_t < 1:
         raise ValueError(f"dimensions must be positive integers, got {n_r!r} x {n_t!r}")
-    shape = (n_r, n_t, 2) if trials is None else (trials, n_r, n_t, 2)
-    parts = sample_nakagami_component(params, rng, shape, out=out)
+    parts = sample_nakagami_component(params, rng, (trials, n_r, n_t, 2), out=out)
     return parts.view(np.complex128)[..., 0]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 import numpy as np
@@ -105,6 +106,13 @@ def _cmd_run(args):
             f"--full-fit needs at least {_MIN_FIT_SAMPLES} trials per point, "
             f"got {plan.base.trials}"
         )
+    if args.out is not None:
+        # an unwritable destination fails here, before any point runs; "a"
+        # truncates nothing, and a file created for the check is removed
+        existed = os.path.lexists(args.out)
+        open(args.out, "a").close()
+        if not existed:
+            os.remove(args.out)
     rows = run_sweep(plan, full_fit=args.full_fit)
     if args.out is None:
         sys.stdout.write(render_csv(rows))

@@ -7,8 +7,8 @@ matrix, 2 a pentadiagonal one, and n - 1 the full exponential profile.
 (Descriptions of the truncation in terms of a "threshold of k elements"
 map to l_band = k - 1: a threshold of 2 elements is tridiagonal.)
 Truncation can push the matrix out of the positive-semidefinite cone for
-large rho, which is why construction and square-rooting are separated by
-an explicit eigenvalue check.
+large rho, which is why the square root checks the eigenvalues it is built
+from before building it.
 """
 
 from __future__ import annotations
@@ -53,12 +53,6 @@ class CorrelationSpec:
             )
 
 
-@dataclass(frozen=True)
-class PsdReport:
-    min_eig: float
-    is_psd: bool
-
-
 def build_banded_correlation(spec):
     """Real symmetric Toeplitz matrix with entries rho^|i-j| inside the band."""
     idx = np.arange(spec.n)
@@ -66,11 +60,16 @@ def build_banded_correlation(spec):
     return np.where(lag <= spec.l_band, np.power(spec.rho, lag.astype(float)), 0.0)
 
 
-def psd_check(matrix):
-    """Smallest-eigenvalue report for a Hermitian matrix.
+def matrix_sqrt(matrix, spec=None):
+    """Hermitian square root of a Hermitian positive semidefinite matrix.
 
-    is_psd is true when min_eig >= -PSD_TOL, so eigensolver round-off on a
-    genuinely PSD matrix does not trip the gate.
+    One eigendecomposition both gates the matrix and builds the root.  A
+    matrix that is not square or not Hermitian raises ValueError, and an
+    eigensolver failure raises ArithmeticError naming a blake2b fingerprint
+    of the matrix bytes.  A smallest eigenvalue below -PSD_TOL raises
+    NotPositiveSemidefiniteError with that eigenvalue as min_eig; spec, if
+    given, is named in its message.  Eigenvalues in [-PSD_TOL, 0) are
+    eigensolver round-off on a PSD matrix and are clamped to zero.
     """
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -78,32 +77,19 @@ def psd_check(matrix):
     if not np.allclose(arr, arr.conj().T, rtol=0.0, atol=1e-12):
         raise ValueError("matrix is not Hermitian")
     try:
-        eigs = np.linalg.eigvalsh(arr)
+        eigvals, eigvecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             f"eigendecomposition failed for {arr.shape[0]}x{arr.shape[1]} matrix "
             f"(fingerprint {hashlib.blake2b(arr.tobytes(), digest_size=4).hexdigest()})"
         ) from exc
-    min_eig = float(eigs[0])
-    return PsdReport(min_eig=min_eig, is_psd=min_eig >= -PSD_TOL)
-
-
-def matrix_sqrt(matrix, spec=None):
-    """Hermitian square root via eigendecomposition.
-
-    Eigenvalues in [-PSD_TOL, 0) are treated as rounding debris and clamped
-    to zero.  Anything below -PSD_TOL raises NotPositiveSemidefiniteError.
-    """
-    arr = np.asarray(matrix)
-    report = psd_check(arr)
-    if not report.is_psd:
+    min_eig = float(eigvals[0])
+    if not min_eig >= -PSD_TOL:
         origin = f" for {spec!r}" if spec is not None else ""
         raise NotPositiveSemidefiniteError(
-            f"matrix is not positive semidefinite{origin}: "
-            f"min eigenvalue {report.min_eig:.6e}",
-            min_eig=report.min_eig,
+            f"matrix is not positive semidefinite{origin}: min eigenvalue {min_eig:.6e}",
+            min_eig=min_eig,
         )
-    eigvals, eigvecs = np.linalg.eigh(arr)
     eigvals = np.clip(eigvals, 0.0, None)
     root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
     # exact Hermitian symmetry by construction

@@ -29,10 +29,10 @@ with the anchors Gamma(nu, 1) of the series.  The fraction yields the
 scaled quantity directly, so e^x E_1(x) stays exact far beyond the e^{-x}
 underflow point.  The Kummer split takes Gamma(nu) from _loggamma, a
 Stirling series with a recurrence shift and reflection, evaluated once per
-order for every z.  exp_scaled_e1 is the engine at nu = 0 (for x >= 1 the
-fraction itself, unlogged), and the Euler Laplace inversion completes the
-module.  The regularized lower incomplete gamma P(a, x) of the gamma fit
-reuses the lower series and the fraction.
+order for every z.  The closed form's e^x E_1(x) is the engine at nu = 0,
+and the Euler Laplace inversion completes the module.  The regularized
+lower incomplete gamma P(a, x) of the gamma fit reuses the lower series
+and the fraction.
 """
 
 from __future__ import annotations
@@ -363,22 +363,6 @@ def _gamma_cdf(a, x):
     p[high] = -np.expm1(log_factor[high] + np.log(cf))
     # rounding may carry the series a few ulps past 1
     return np.minimum(p, 1.0)
-
-
-def exp_scaled_e1(x):
-    """Scaled exponential integral e^x * E_1(x) = U(1, 1, x).
-
-    The engine is scaled, so arguments far beyond the e^{-x} underflow
-    point (x > 700) are fine.
-    """
-    x = float(x)
-    if not x > 0.0 or math.isinf(x):
-        raise ValueError(f"exp_scaled_e1 requires finite x > 0, got {x!r}")
-    if x >= 1.0:
-        # the engine's kernel here, without the round trip through the log,
-        # which costs up to |log x| ulps
-        return float(_lentz_cf(np.zeros(1), np.array([x]))[0])
-    return math.exp(_log_scaled_gamma(0.0, x).real)
 
 
 # Abate-Whitt Euler summation (INFORMS J. Computing 18(4), 2006): transform

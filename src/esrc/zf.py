@@ -36,14 +36,6 @@ _MAX_RESAMPLES = 64
 CHUNK_ENTRIES = 2**14
 
 
-class SingularChannelError(ArithmeticError):
-    """A channel draw whose Gram matrix is numerically singular."""
-
-    def __init__(self, message, cond=None):
-        super().__init__(message)
-        self.cond = cond
-
-
 class MonteCarloAbort(RuntimeError):
     """Too many singular draws for the estimate to be trusted."""
 
@@ -98,46 +90,39 @@ def _inverse_diagonal(gram):
 
 
 def _checked_inverse_diagonal(gram):
-    """diag(G^{-1}) of a stack of one Gram matrix, after the exact eigvalsh check."""
+    """diag(G^{-1}) of a stack of one Gram matrix, or NaN if the exact eigvalsh check fails."""
     # gram is Hermitian PSD, so its 2-norm condition number is the
     # eigenvalue ratio; eigvalsh is cheaper than a singular value pass
     eigs = np.linalg.eigvalsh(gram)
     lo, hi = eigs.min(), eigs.max()
-    if not (lo > 0.0 and hi < lo * COND_LIMIT):
-        cond = hi / lo if lo > 0.0 else np.inf
-        raise SingularChannelError(
-            f"Gram matrix condition number {cond:.3e} exceeds {COND_LIMIT:.0e}",
-            cond=cond,
-        )
-    try:
-        return _inverse_diagonal(gram)
-    except np.linalg.LinAlgError:
-        raise SingularChannelError(
-            f"Cholesky inversion failed despite condition number {hi / lo:.3e}",
-            cond=hi / lo,
-        ) from None
+    if lo > 0.0 and hi < lo * COND_LIMIT:
+        try:
+            return _inverse_diagonal(gram)[0]
+        except np.linalg.LinAlgError:
+            pass
+    return np.full(gram.shape[-1], np.nan)
 
 
 def zf_sinr(h, snr, out=None):
-    """Per-stream SINR snr / [(H*H)^{-1}]_{kk} of one channel or a stack of them.
+    """Per-stream SINR snr / [(H*H)^{-1}]_{kk} of a stack of channels.
 
-    One n_r x n_t channel whose Gram matrix has a condition number of
-    COND_LIMIT or more raises SingularChannelError, and a Gram matrix or
-    SINR that overflows raises NumericalError.  For a stack of shape
-    (c, n_r, n_t) the result is (c, n_t), and such a trial's row is NaN so
-    that the caller can redraw it alone.  A stack is gated by the bound
-    cond(G) <= tr(G) tr(G^{-1}), whose factors the batched Cholesky
-    inverse already gives; only the trials it does not clear, or every
-    trial of a stack whose batched Cholesky raises, take the exact
-    per-trial eigvalsh check.
+    h has shape (c, n_r, n_t), a redraw being a stack of one, and the result
+    has shape (c, n_t).  A trial whose Gram matrix has a condition number of
+    COND_LIMIT or more gets a NaN row, so that the caller can redraw it
+    alone; a Gram matrix that overflows, or an SINR that overflows or
+    underflows, raises NumericalError.  The stack is gated by the bound
+    cond(G) <= tr(G) tr(G^{-1}), whose factors the batched Cholesky inverse
+    already gives; only the trials it does not clear, or every trial of a
+    stack whose batched Cholesky raises, take the exact per-trial eigvalsh
+    check.
 
     out, if given, is two C-contiguous complex128 buffers that receive H*
-    (h's shape) and the Gram matrix H*H (shape (..., n_t, n_t)) in place of
+    (h's shape) and the Gram matrix H*H (shape (c, n_t, n_t)) in place of
     allocating them.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim not in (2, 3):
-        raise ValueError(f"expected a channel or a stack of channels, got shape {h.shape}")
+    if h.ndim != 3:
+        raise ValueError(f"expected a stack of channels (c, n_r, n_t), got shape {h.shape}")
     n_r, n_t = h.shape[-2:]
     if n_r < n_t:
         raise ValueError(f"zero-forcing needs n_r >= n_t, got {n_r}x{n_t}")
@@ -147,21 +132,15 @@ def zf_sinr(h, snr, out=None):
     gram = np.matmul(np.conjugate(h, out=conj).swapaxes(-1, -2), h, out=gram)
     if not np.all(np.isfinite(gram)):
         raise NumericalError("Gram matrix H*H overflows float64")
-    if h.ndim == 2:
-        inv_diag = _checked_inverse_diagonal(gram[None])[0]
-    else:
-        try:
-            inv_diag = _inverse_diagonal(gram)
-            bound = np.trace(gram, axis1=-2, axis2=-1).real * inv_diag.sum(axis=-1)
-            exact = np.flatnonzero(~(bound < COND_LIMIT))
-        except np.linalg.LinAlgError:
-            inv_diag = np.empty(gram.shape[:-1])
-            exact = range(len(gram))
-        for i in exact:
-            try:
-                inv_diag[i] = _checked_inverse_diagonal(gram[i : i + 1])[0]
-            except SingularChannelError:
-                inv_diag[i] = np.nan
+    try:
+        inv_diag = _inverse_diagonal(gram)
+        bound = np.trace(gram, axis1=-2, axis2=-1).real * inv_diag.sum(axis=-1)
+        exact = np.flatnonzero(~(bound < COND_LIMIT))
+    except np.linalg.LinAlgError:
+        inv_diag = np.empty(gram.shape[:-1])
+        exact = range(len(gram))
+    for i in exact:
+        inv_diag[i] = _checked_inverse_diagonal(gram[i : i + 1])
     sinr = snr / inv_diag
     if np.any(np.isinf(sinr)):
         raise NumericalError("SINR overflows float64")

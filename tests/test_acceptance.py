@@ -19,8 +19,6 @@ from esrc.analytic import (
     capacity_pdf,
     default_capacity_grid,
     esrc_closed_form,
-    mgf_mean_check,
-    sum_capacity_mgf,
 )
 from esrc.channel import FadingParams, SemiCorrelationMode, sample_nakagami_component
 from esrc.cli import main
@@ -30,7 +28,7 @@ from esrc.runner import SweepPlan, run_sweep
 from esrc.specfun import LN2
 from esrc.statfit import fit_gamma_ml
 from esrc.zf import monte_carlo_esrc
-from oracles import gm_pdf, per_user_capacity_quadrature
+from oracles import gm_pdf, mgf_mean_check, per_user_capacity_quadrature, sum_capacity_mgf
 
 TRIALS = 100_000
 FIG_SEED = 2468

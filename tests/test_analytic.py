@@ -16,15 +16,15 @@ from esrc.analytic import (
     capacity_pdf,
     default_capacity_grid,
     esrc_closed_form,
-    mgf_mean_check,
-    sum_capacity_mgf,
 )
 from esrc.specfun import EULER_A, EULER_NODES, LN2, NumericalError
 from oracles import (
     gm_pdf,
+    mgf_mean_check,
     per_user_capacity_quadrature,
     scalar_density_transform,
     scalar_invert_laplace,
+    sum_capacity_mgf,
 )
 
 ORACLE_BETAS = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)

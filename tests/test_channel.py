@@ -144,20 +144,23 @@ class TestSampleChannelMatrix:
         rng = np.random.default_rng(0)
         params = FadingParams(m=1.0, omega=1.0)
         with pytest.raises(ValueError):
-            sample_channel_matrix(0, 4, params, rng)
+            sample_channel_matrix(0, 4, params, rng, trials=1)
         with pytest.raises(ValueError):
-            sample_channel_matrix(4, -1, params, rng)
+            sample_channel_matrix(4, -1, params, rng, trials=1)
+        with pytest.raises(TypeError, match="trials"):
+            sample_channel_matrix(4, 4, params, rng)
 
     def test_shape_and_dtype(self):
-        h = sample_channel_matrix(3, 2, FadingParams(m=1.0, omega=1.0), np.random.default_rng(1))
-        assert h.shape == (3, 2)
+        rng = np.random.default_rng(1)
+        h = sample_channel_matrix(3, 2, FadingParams(m=1.0, omega=1.0), rng, trials=5)
+        assert h.shape == (5, 3, 2)
         assert np.iscomplexobj(h)
         assert np.all(np.isfinite(h))
 
     def test_rayleigh_envelope_power(self):
         # m=1: |h|^2 is exponential with mean omega
         rng = np.random.default_rng(21)
-        h = sample_channel_matrix(1000, 1000, FadingParams(m=1.0, omega=1.0), rng)
+        h = sample_channel_matrix(1000, 1000, FadingParams(m=1.0, omega=1.0), rng, trials=1)
         p = np.abs(h.ravel()) ** 2
         assert np.mean(p) == pytest.approx(1.0, rel=0.01)
         result = stats.kstest(p[:100_000], "expon", args=(0.0, 1.0))
@@ -170,20 +173,21 @@ class TestSampleChannelMatrix:
 
     def test_quadrature_symmetry(self):
         rng = np.random.default_rng(23)
-        h = sample_channel_matrix(400, 250, FadingParams(m=0.7, omega=1.0), rng)
+        h = sample_channel_matrix(400, 250, FadingParams(m=0.7, omega=1.0), rng, trials=1)
         result = stats.ks_2samp(h.real.ravel(), h.imag.ravel())
         assert result.pvalue > 0.01
 
     def test_deterministic(self):
         params = FadingParams(m=2.5, omega=0.8)
-        a = sample_channel_matrix(8, 8, params, np.random.default_rng(9))
-        b = sample_channel_matrix(8, 8, params, np.random.default_rng(9))
+        a = sample_channel_matrix(8, 8, params, np.random.default_rng(9), trials=3)
+        b = sample_channel_matrix(8, 8, params, np.random.default_rng(9), trials=3)
         assert np.array_equal(a, b)
 
 
 class TestComposeChannel:
     def test_identity_root_is_noop(self):
-        h = sample_channel_matrix(4, 3, FadingParams(m=1.0, omega=1.0), np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        h = sample_channel_matrix(4, 3, FadingParams(m=1.0, omega=1.0), rng, trials=1)
         for side in ("transmit", "receive"):
             sz = 3 if side == "transmit" else 4
             out = compose_channel(h, np.eye(sz), SemiCorrelationMode(side))

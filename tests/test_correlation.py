@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from esrc.correlation import (
+    PSD_TOL,
     CorrelationSpec,
     NotPositiveSemidefiniteError,
     build_banded_correlation,
     matrix_sqrt,
-    psd_check,
 )
 
 
@@ -74,45 +74,53 @@ class TestBuildBandedCorrelation:
 
 
 class TestPsdCheck:
+    """The gate matrix_sqrt applies to the eigenvalues of its own eigh."""
+
     def test_identity(self):
-        report = psd_check(np.eye(4))
-        assert report.is_psd
-        assert report.min_eig == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(matrix_sqrt(np.eye(4)), np.eye(4))
 
     def test_tridiagonal_min_eigenvalue(self):
-        # symmetric tridiagonal Toeplitz: eigenvalues 1 + 2*rho*cos(k*pi/(n+1))
+        # symmetric tridiagonal Toeplitz: eigenvalues 1 + 2*rho*cos(k*pi/(n+1)),
+        # so shifting by the smallest one puts it at 0 (passes) or just
+        # below -PSD_TOL (reported as min_eig)
         r = build_banded_correlation(CorrelationSpec(n=8, rho=0.5, l_band=1))
-        report = psd_check(r)
-        assert report.is_psd
-        assert report.min_eig == pytest.approx(1.0 - np.cos(np.pi / 9.0), rel=1e-12)
-        assert report.min_eig == pytest.approx(0.0603073792140917, abs=1e-13)
+        lo = 1.0 - np.cos(np.pi / 9.0)
+        assert lo == pytest.approx(0.0603073792140917, abs=1e-13)
+        matrix_sqrt(r - lo * np.eye(8))
+        with pytest.raises(NotPositiveSemidefiniteError) as excinfo:
+            matrix_sqrt(r - (lo + 1e-9) * np.eye(8))
+        assert excinfo.value.min_eig == pytest.approx(-1e-9, abs=1e-13)
 
     def test_detects_indefinite(self):
         # aggressive truncation at large rho leaves the PSD cone
         r = build_banded_correlation(CorrelationSpec(n=8, rho=0.9, l_band=1))
-        report = psd_check(r)
-        assert not report.is_psd
-        assert report.min_eig < -0.5
+        with pytest.raises(NotPositiveSemidefiniteError) as excinfo:
+            matrix_sqrt(r)
+        assert excinfo.value.min_eig < -0.5
+        assert isinstance(excinfo.value, ValueError)
 
     def test_tolerance_absorbs_roundoff(self):
         x = np.ones(3)
         m = np.outer(x, x)
-        assert psd_check(m).is_psd
+        # the rank-one matrix's zero eigenvalues come out slightly negative
+        assert np.linalg.eigh(m)[0][0] < 0.0
+        s = matrix_sqrt(m)
+        assert np.allclose(s @ s, m, atol=1e-12)
 
     def test_sweep_grid_is_psd(self):
         # every operating point of the nominal sweeps must pass the gate
         for rho in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
             for l_band in range(1, 8):
-                r = build_banded_correlation(CorrelationSpec(n=8, rho=rho, l_band=l_band))
-                assert psd_check(r).is_psd, (rho, l_band)
+                spec = CorrelationSpec(n=8, rho=rho, l_band=l_band)
+                matrix_sqrt(build_banded_correlation(spec), spec=spec)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            psd_check(np.ones((2, 3)))
+            matrix_sqrt(np.ones((2, 3)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            psd_check(np.array([[1.0, 0.2], [0.3, 1.0]]))
+            matrix_sqrt(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
     def test_eigensolver_failure_fingerprint_is_reproducible(self, monkeypatch):
         # blake2b of the matrix bytes, so the same matrix names the same
@@ -120,9 +128,9 @@ class TestPsdCheck:
         def fail(arr):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ArithmeticError, match=r"3x3 matrix \(fingerprint 14095978\)"):
-            psd_check(np.eye(3))
+            matrix_sqrt(np.eye(3))
 
 
 class TestMatrixSqrt:
@@ -154,7 +162,7 @@ class TestMatrixSqrt:
         r = build_banded_correlation(CorrelationSpec(n=8, rho=0.5, l_band=3))
         s = matrix_sqrt(r)
         assert np.array_equal(s, s.conj().T)
-        assert psd_check(s).is_psd
+        assert np.linalg.eigvalsh(s)[0] >= -PSD_TOL
 
     def test_complex_hermitian_input(self):
         a = np.array([[2.0, 0.5 + 0.25j], [0.5 - 0.25j, 1.0]])

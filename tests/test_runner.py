@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import esrc
+import esrc.cli as cli_mod
 import esrc.runner as runner_mod
 from esrc.channel import FadingParams, SemiCorrelationMode
 from esrc.cli import main
@@ -536,6 +537,43 @@ class TestCli:
         assert main(["run", "--config", cfg, "--trials", "150", "--full-fit"]) == 2
         err = capsys.readouterr().err
         assert "--full-fit needs at least 200 trials per point, got 150" in err
+
+    def test_unwritable_out_exits_2_before_any_point(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+        cfg = self.write_cfg(tmp_path)
+        for out in (tmp_path / "missing" / "out.csv", tmp_path):
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(out) in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_out_is_not_truncated_before_the_table_is_ready(self, tmp_path, monkeypatch):
+        real = cli_mod.run_sweep
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out.csv"
+        out.write_text("an earlier table\n")
+        monkeypatch.setattr(cli_mod, "run_sweep", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", cfg, "--out", str(out)])
+        assert out.read_text() == "an earlier table\n"
+        # nor does the check leave a new file behind, and the table, once
+        # ready, gets the mode of a plain open for writing
+        fresh, reference = tmp_path / "fresh.csv", tmp_path / "reference"
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", cfg, "--out", str(fresh)])
+        assert not fresh.exists()
+        monkeypatch.setattr(cli_mod, "run_sweep", real)
+        assert main(["run", "--config", cfg, "--out", str(fresh)]) == 0
+        reference.open("w").close()
+        assert fresh.stat().st_mode == reference.stat().st_mode
+        assert fresh.read_text().startswith(CSV_HEADER)
 
     def test_run_failed_point_exits_1(self, tmp_path, monkeypatch):
         def always_abort(config):

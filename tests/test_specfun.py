@@ -25,10 +25,10 @@ from esrc.specfun import (
     _gamma_cdf,
     _log_scaled_gamma,
     _loggamma,
-    exp_scaled_e1,
     invert_laplace,
 )
 from oracles import (
+    exp_scaled_e1,
     gm_pdf,
     scalar_invert_laplace,
     tricomi_u1,

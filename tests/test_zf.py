@@ -28,7 +28,6 @@ from esrc.specfun import NumericalError
 from esrc.zf import (
     EsrcResult,
     MonteCarloAbort,
-    SingularChannelError,
     SinrSampleSet,
     chunk_trials,
     monte_carlo_esrc,
@@ -91,44 +90,51 @@ def mark_singular(monkeypatch, rows):
 
 
 class TestZfSinr:
+    """zf_sinr on stacks of one channel; TestChunkedKernel covers longer stacks."""
+
     def test_scalar_channel(self):
-        assert zf_sinr(np.array([[1.0]]), 5.0) == pytest.approx([5.0])
+        assert zf_sinr(np.array([[[1.0]]]), 5.0)[0] == pytest.approx([5.0])
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(ValueError, match="stack"):
+            zf_sinr(np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="stack"):
+            zf_sinr(np.ones((1, 1, 2, 2)), 1.0)
 
     def test_unitary_channel_gives_flat_sinr(self):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        assert zf_sinr(q, 7.0) == pytest.approx(np.full(5, 7.0), rel=1e-12)
+        assert zf_sinr(q[None], 7.0) == pytest.approx(np.full((1, 5), 7.0), rel=1e-12)
 
     def test_diagonal_channel(self):
         h = np.diag([1.0, 2.0, 0.5]).astype(complex)
-        assert zf_sinr(h, 4.0) == pytest.approx([4.0, 16.0, 1.0], rel=1e-12)
+        assert zf_sinr(h[None], 4.0)[0] == pytest.approx([4.0, 16.0, 1.0], rel=1e-12)
 
     def test_tall_channel(self):
         # 3x2 with orthogonal columns of squared norm 2 and 3
         h = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, -1.0]])
         h[:, 1] -= h[:, 0] * (h[:, 0] @ h[:, 1]) / 2.0
-        sinr = zf_sinr(h, 1.0)
+        (sinr,) = zf_sinr(h[None], 1.0)
         norms = np.sum(np.abs(h) ** 2, axis=0)
         assert sinr == pytest.approx(norms, rel=1e-12)
 
     def test_rejects_wide_channel(self):
         with pytest.raises(ValueError, match="n_r >= n_t"):
-            zf_sinr(np.ones((2, 3)), 1.0)
+            zf_sinr(np.ones((1, 2, 3)), 1.0)
 
     def test_rejects_nonpositive_snr(self):
         with pytest.raises(ValueError, match="snr"):
-            zf_sinr(np.eye(2), 0.0)
+            zf_sinr(np.eye(2)[None], 0.0)
 
     def test_snr_scale_linearity(self):
         rng = np.random.default_rng(4)
-        h = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        h = rng.normal(size=(1, 6, 4)) + 1j * rng.normal(size=(1, 6, 4))
         base = zf_sinr(h, 3.0)
         assert np.array_equal(zf_sinr(h, 6.0), 2.0 * base)
 
-    def test_rank_deficient_raises(self):
-        h = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularChannelError):
-            zf_sinr(h, 1.0)
+    def test_rank_deficient_row_is_nan(self):
+        h = np.array([[[1.0, 1.0], [1.0, 1.0]]])
+        assert np.all(np.isnan(zf_sinr(h, 1.0)))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
@@ -144,14 +150,12 @@ class TestZfSinr:
         gram = h.conj().T @ h
         assume(np.linalg.cond(gram) <= 1e4)
         oracle = snr / np.diagonal(np.linalg.inv(gram)).real
-        assert zf_sinr(h, snr) == pytest.approx(oracle, rel=1e-9)
+        assert zf_sinr(h[None], snr)[0] == pytest.approx(oracle, rel=1e-9)
 
     def test_condition_number_threshold(self):
-        # cond(H*H) = 1e14 trips the gate, 1e10 does not
-        with pytest.raises(SingularChannelError) as excinfo:
-            zf_sinr(np.diag([1.0, 1e-7]), 1.0)
-        assert excinfo.value.cond == pytest.approx(1e14, rel=1e-3)
-        sinr = zf_sinr(np.diag([1.0, 1e-5]), 1.0)
+        # cond(H*H) = 1e14 trips the gate and leaves a NaN row, 1e10 does not
+        assert np.all(np.isnan(zf_sinr(np.diag([1.0, 1e-7])[None], 1.0)))
+        (sinr,) = zf_sinr(np.diag([1.0, 1e-5])[None], 1.0)
         assert sinr == pytest.approx([1.0, 1e-10], rel=1e-9)
 
 
@@ -522,13 +526,12 @@ class TestChunkedKernel:
         h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         stack = zf_sinr(h, 2.5)
         assert stack.shape == (count, n_t)
+        gram = h.conj().swapaxes(-1, -2) @ h
         for i in range(count):
-            try:
-                single = zf_sinr(h[i], 2.5)
-            except SingularChannelError:
-                assert np.all(np.isnan(stack[i]))
-            else:
-                assert stack[i] == pytest.approx(single, rel=1e-9)
+            # the trace-bound gate gives the exact per-trial check's rows
+            exact = 2.5 / esrc.zf._checked_inverse_diagonal(gram[i : i + 1])
+            assert stack[i] == pytest.approx(exact, rel=1e-9, nan_ok=True)
+            assert zf_sinr(h[i : i + 1], 2.5)[0] == pytest.approx(exact, rel=1e-9, nan_ok=True)
 
     @pytest.mark.parametrize("n_r, n_t", [(64, 32), (40, 33), (24, 17)])
     def test_many_users_match_direct_inverse(self, n_r, n_t):
@@ -538,7 +541,7 @@ class TestChunkedKernel:
         gram = h.conj().swapaxes(-1, -2) @ h
         oracle = 2.0 / np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1).real
         assert zf_sinr(h, 2.0) == pytest.approx(oracle, rel=1e-9)
-        assert zf_sinr(h[1], 2.0) == pytest.approx(oracle[1], rel=1e-9)
+        assert zf_sinr(h[1:2], 2.0) == pytest.approx(oracle[1:2], rel=1e-9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_gram_raises_numerical_error(self):
@@ -546,16 +549,15 @@ class TestChunkedKernel:
         with pytest.raises(NumericalError, match="overflow"):
             zf_sinr(h, 1.0)
         with pytest.raises(NumericalError, match="overflow"):
-            zf_sinr(h[0], 1.0)
+            zf_sinr(h[:1], 1.0)
         # a finite Gram matrix whose SINR overflows
         with pytest.raises(NumericalError, match="overflow"):
             zf_sinr(np.eye(4)[None] * 1e150, 1e10)
 
     def test_underflowing_sinr_raises_numerical_error(self):
         # diag(G^-1) is 4, and the smallest subnormal over 4 rounds to 0
-        for h in (0.5 * np.eye(4), 0.5 * np.eye(4)[None]):
-            with pytest.raises(NumericalError, match="underflow"):
-                zf_sinr(h, 5e-324)
+        with pytest.raises(NumericalError, match="underflow"):
+            zf_sinr(0.5 * np.eye(4)[None], 5e-324)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fading_power_near_the_float_limit_is_reported_as_overflow(self):

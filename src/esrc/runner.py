@@ -290,7 +290,7 @@ def _config_for_point(base: SystemConfig, point, seed: int) -> SystemConfig:
 def _measure(config: SystemConfig, full_fit: bool) -> Dict[str, Optional[float]]:
     """The result columns of one point."""
     result, samples = monte_carlo_esrc(config)
-    betas = [fit_exponential(row) for row in samples.samples]
+    betas = [fit_exponential(row) for row in samples]
     analytic = esrc_closed_form(BetaVector(betas))
     columns = dict(
         esrc_mc=result.esrc_mc,
@@ -301,7 +301,7 @@ def _measure(config: SystemConfig, full_fit: bool) -> Dict[str, Optional[float]]
         gof_pass_rate=None,
     )
     if full_fit:
-        fits = [fit_gamma_ml(row) for row in samples.samples]
+        fits = [fit_gamma_ml(row) for row in samples]
         columns["alpha_mean"] = float(np.mean([fit.alpha for fit in fits]))
         columns["gof_pass_rate"] = float(np.mean([fit.chi2_pass and fit.ks_pass for fit in fits]))
     return columns

@@ -16,9 +16,9 @@ and every trial can be reproduced from its chunk.
 
 from __future__ import annotations
 
+import logging
 import mmap
 import os
-import pickle
 import signal
 from dataclasses import dataclass
 
@@ -35,6 +35,8 @@ _MAX_RESAMPLES = 64
 # trials: 256 at 8x8, 8 at 64x32
 CHUNK_ENTRIES = 2**14
 
+log = logging.getLogger(__name__)
+
 
 class MonteCarloAbort(RuntimeError):
     """Too many singular draws for the estimate to be trusted."""
@@ -43,21 +45,6 @@ class MonteCarloAbort(RuntimeError):
         super().__init__(message)
         self.singular_trials = singular_trials
         self.trials = trials
-
-    def __reduce__(self):
-        # pickled by message and counts, so that a forked range can send it
-        return type(self), (str(self), self.singular_trials, self.trials)
-
-
-@dataclass(frozen=True)
-class SinrSampleSet:
-    """Per-user SINR arrays, one row per user, one column per trial."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.samples) & (self.samples > 0.0)):
-            raise ValueError("every SINR sample must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -186,38 +173,29 @@ def _cpu_count():
     return 1
 
 
-def _fork_range(run, chunks):
-    """Run run(chunks) in a forked child; returns its pid and the pipe its result comes on."""
-    read_fd, write_fd = os.pipe()
+def _fork_range(run, chunks, counts, k):
+    """Run run(chunks, 0) in a forked child; returns its pid.
+
+    The child stores the range's redraw count in counts[k] and exits 0.
+    On any exception it exits 1 and reports nothing: the caller runs a
+    range that did not succeed again itself.
+    """
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(run(chunks), pipe)
+            counts[k] = run(chunks, 0)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _range_result(pid, pipe):
-    """The (redraws, error) a forked range sent, once its child has exited."""
-    data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if status:
-        raise RuntimeError(
-            f"Monte Carlo worker {pid} exited with status {os.waitstatus_to_exitcode(status)}"
-        )
-    return pickle.loads(data)
+    return pid
 
 
 def monte_carlo_esrc(config):
     """Estimate the ergodic sum-rate capacity by independent channel draws.
 
-    Returns (EsrcResult, SinrSampleSet).
+    Returns (EsrcResult, samples), samples being the per-trial SINRs, one
+    row per user and one column per trial.
     A trial the conditioning check rejects is redrawn from its own
     (seed, chunk, trial, attempt) stream, up to _MAX_RESAMPLES times; if
     more than SINGULAR_TRIAL_FRACTION of trials need a redraw, the run
@@ -225,10 +203,13 @@ def monte_carlo_esrc(config):
 
     The chunks are split into one contiguous range per CPU of the process's
     affinity mask (at most one per chunk).  The caller runs the first range
-    and a forked child each other one, all writing into one shared mapping;
-    the caller then replays the ranges' redraw counts and errors in chunk
-    order, so the arrays, the estimate and any error are those of one
-    process running every chunk in turn.  No child outlives the call.
+    and a forked child each other one, all writing into one shared mapping.
+    A child reports only its redraw count, and only on success.  The caller
+    then takes the children in chunk order: it adds the count of one that
+    succeeded while the total stays within the abort fraction, and runs any
+    other range again itself, counting on from the ranges before it.  The
+    arrays, the estimate and any error are therefore those of one process
+    running every chunk in turn.  No child outlives the call.
     """
     trials = config.trials
     sigma = build_banded_correlation(config.correlation)
@@ -261,81 +242,78 @@ def monte_carlo_esrc(config):
     ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     limit = SINGULAR_TRIAL_FRACTION * trials
     size = config.n_users * trials
-    shared = np.frombuffer(mmap.mmap(-1, 8 * (size + trials)), dtype=np.float64)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (size + trials + workers)), dtype=np.float64)
     samples = shared[:size].reshape(config.n_users, trials)
-    rates = shared[size:]
+    rates = shared[size : size + trials]
+    counts = shared[size + trials :]
 
-    def run(chunks):
-        """Run a range of chunks in order; returns (redraws, error).
+    def run(chunks, redraws):
+        """Run a range of chunks in order after `redraws` redraws; returns the new count.
 
-        redraws counts the range's redrawn trials and error is the exception
-        that stopped it, or None.  A range does not know the redraws of the
-        ranges before it, so the replay below raises the abort with the
-        run's count; a range stops once its own redraws cross the abort
-        fraction, since the replay then aborts at or before that redraw.
+        Raises what one process running every chunk would: the abort at
+        the first redraw past the abort fraction, or when a trial stays
+        singular, each with the count so far.
         """
-        redraws = 0
-        try:
-            for chunk in chunks:
-                start = chunk * step
-                stop = min(start + step, trials)
-                sinr = draw(trial_rng(config.seed, chunk), stop - start)
-                for i in np.flatnonzero(np.isnan(sinr).any(axis=1)):
-                    for attempt in range(1, _MAX_RESAMPLES + 1):
-                        (redrawn,) = draw(trial_rng(config.seed, chunk, i, attempt), 1)
-                        if not np.isnan(redrawn).any():
-                            break
-                    else:
-                        raise MonteCarloAbort(
-                            f"trial {start + i} stayed singular after {_MAX_RESAMPLES} resamples",
-                            singular_trials=redraws,
-                            trials=trials,
-                        )
-                    sinr[i] = redrawn
-                    redraws += 1
-                    if redraws > limit:
-                        return redraws, None
-                samples[:, start:stop] = sinr.T
-                rates[start:stop] = sum_rate(sinr)
-        except Exception as exc:
-            return redraws, exc
-        return redraws, None
+        for chunk in chunks:
+            start = chunk * step
+            stop = min(start + step, trials)
+            sinr = draw(trial_rng(config.seed, chunk), stop - start)
+            for i in np.flatnonzero(np.isnan(sinr).any(axis=1)):
+                for attempt in range(1, _MAX_RESAMPLES + 1):
+                    (redrawn,) = draw(trial_rng(config.seed, chunk, i, attempt), 1)
+                    if not np.isnan(redrawn).any():
+                        break
+                else:
+                    raise MonteCarloAbort(
+                        f"trial {start + i} stayed singular after {_MAX_RESAMPLES} resamples",
+                        singular_trials=redraws,
+                        trials=trials,
+                    )
+                sinr[i] = redrawn
+                redraws += 1
+                if redraws > limit:
+                    raise MonteCarloAbort(
+                        f"{redraws} of {trials} trials hit singular channels, "
+                        f"above the {SINGULAR_TRIAL_FRACTION:.1%} abort threshold",
+                        singular_trials=redraws,
+                        trials=trials,
+                    )
+            samples[:, start:stop] = sinr.T
+            rates[start:stop] = sum_rate(sinr)
+        return redraws
 
-    children = []
+    pids = []
     try:
-        for chunks in ranges[1:]:
-            children.append(_fork_range(run, chunks))
-        singular_trials = 0
-        for k, chunks in enumerate(ranges):
-            redraws, error = _range_result(*children[k - 1]) if k else run(chunks)
-            if singular_trials + redraws > limit:
-                # the serial order aborts at the first redraw past the limit
-                singular_trials = int(limit) + 1
-                raise MonteCarloAbort(
-                    f"{singular_trials} of {trials} trials hit singular channels, "
-                    f"above the {SINGULAR_TRIAL_FRACTION:.1%} abort threshold",
-                    singular_trials=singular_trials,
-                    trials=trials,
+        for k, chunks in enumerate(ranges[1:], 1):
+            pids.append(_fork_range(run, chunks, counts, k))
+        singular_trials = run(ranges[0], 0)
+        for k, pid in enumerate(pids, 1):
+            _, status = os.waitpid(pid, 0)
+            # the count is read only once its child has exited
+            if status == 0 and singular_trials + counts[k] <= limit:
+                singular_trials += int(counts[k])
+                continue
+            if os.WIFSIGNALED(status):
+                sig = os.WTERMSIG(status)
+                log.warning(
+                    "Monte Carlo worker %d was killed by signal %d (%s); running its chunks here",
+                    pid,
+                    sig,
+                    signal.strsignal(sig),
                 )
-            singular_trials += redraws
-            if isinstance(error, MonteCarloAbort):
-                raise MonteCarloAbort(str(error), singular_trials=singular_trials, trials=trials)
-            if error is not None:
-                raise error
+            singular_trials = run(ranges[k], singular_trials)
     finally:
-        for pid, pipe in children:
-            pipe.close()
+        for pid in pids:
             try:
                 if os.waitpid(pid, os.WNOHANG) == (0, 0):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
             except ChildProcessError:
-                pass  # reaped with its result
+                pass  # reaped above
 
     esrc_mc = float(np.mean(rates))
     if trials > 1:
         std_err = float(np.std(rates, ddof=1) / np.sqrt(trials))
     else:
         std_err = 0.0
-    result = EsrcResult(esrc_mc=esrc_mc, std_err=std_err)
-    return result, SinrSampleSet(samples=samples)
+    return EsrcResult(esrc_mc=esrc_mc, std_err=std_err), samples

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import esrc
 import esrc.cli as cli_mod
 import esrc.runner as runner_mod
+import esrc.zf
 from esrc.channel import FadingParams, SemiCorrelationMode
 from esrc.cli import main
 from esrc.config import SystemConfig
@@ -584,6 +586,37 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
         assert out.read_text().splitlines()[1].endswith("failed")
+
+    def test_a_killed_worker_costs_no_row(self, tmp_path, monkeypatch):
+        # 4x4 at 2048 trials is two chunks of 1024; with two CPUs a forked
+        # child runs the second, and on the second point it kills itself
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "n_t = 4\nn_r = 4\ntrials = 2048\nseed = 9\n[sweep.snr_db]\nvalues = 0, 10\n"
+        )
+        monkeypatch.setattr(esrc.zf, "_cpu_count", lambda: 2)
+        clean = tmp_path / "clean.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(clean)]) == 0
+        points = []
+        real_point, real_sinr = runner_mod.monte_carlo_esrc, esrc.zf.zf_sinr
+        caller = os.getpid()
+
+        def counted(config):
+            points.append(config)
+            return real_point(config)
+
+        def dying(h, snr, out=None):
+            if len(points) == 2 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_sinr(h, snr, out=out)
+
+        monkeypatch.setattr(runner_mod, "monte_carlo_esrc", counted)
+        monkeypatch.setattr(esrc.zf, "zf_sinr", dying)
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(points) == 2
+        assert [row["status"] for row in csv.DictReader(out.open())] == ["ok", "ok"]
+        assert out.read_bytes() == clean.read_bytes()
 
     def test_indefinite_point_fails_alone(self, tmp_path):
         # rho = 0.9 banded to l_band = 1 is not positive semidefinite; the

@@ -1,6 +1,8 @@
 """Tests for zero-forcing SINR, sum rate, and the Monte Carlo estimator."""
 
+import logging
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -28,7 +30,6 @@ from esrc.specfun import NumericalError
 from esrc.zf import (
     EsrcResult,
     MonteCarloAbort,
-    SinrSampleSet,
     chunk_trials,
     monte_carlo_esrc,
     sum_rate,
@@ -176,13 +177,7 @@ class TestSumRate:
             sum_rate([1.0, 0.0])
 
 
-class TestSampleSetAndResult:
-    def test_sample_set_positivity_check(self):
-        bad = np.ones((2, 4))
-        bad[1, 2] = 0.0
-        with pytest.raises(ValueError, match="positive"):
-            SinrSampleSet(samples=bad)
-
+class TestEsrcResult:
     def test_result_validation(self):
         with pytest.raises(ValueError):
             EsrcResult(esrc_mc=-1.0, std_err=0.1)
@@ -214,7 +209,7 @@ class TestMonteCarloEsrc:
         assert target == pytest.approx(2.9065148084148045, abs=1e-9)
         result, samples = monte_carlo_esrc(cfg)
         assert abs(result.esrc_mc - target) < 3.0 * result.std_err
-        assert samples.samples.shape == (1, 100_000)
+        assert samples.shape == (1, 100_000)
 
     def test_deterministic_rerun(self):
         cfg = make_config(trials=2000)
@@ -222,14 +217,14 @@ class TestMonteCarloEsrc:
         r2, s2 = monte_carlo_esrc(cfg)
         assert r1.esrc_mc == r2.esrc_mc
         assert r1.std_err == r2.std_err
-        assert np.array_equal(s1.samples, s2.samples)
+        assert np.array_equal(s1, s2)
 
     def test_trial_prefix_stable(self):
         # chunks depend only on (seed, chunk) and their size on the
         # dimensions, so shorter runs are prefixes
         _, s_long = monte_carlo_esrc(make_config(trials=300))
         _, s_short = monte_carlo_esrc(make_config(trials=100))
-        assert np.array_equal(s_long.samples[:, :100], s_short.samples)
+        assert np.array_equal(s_long[:, :100], s_short)
 
     def test_correlation_lowers_capacity(self):
         flat = make_config(trials=20_000, seed=11)
@@ -243,9 +238,9 @@ class TestMonteCarloEsrc:
 
     def test_users_exchangeable_when_uncorrelated(self):
         cfg = make_config(trials=20_000, seed=13)
-        _, sset = monte_carlo_esrc(cfg)
-        means = sset.samples.mean(axis=1)
-        errs = sset.samples.std(axis=1, ddof=1) / np.sqrt(sset.samples.shape[1])
+        _, samples = monte_carlo_esrc(cfg)
+        means = samples.mean(axis=1)
+        errs = samples.std(axis=1, ddof=1) / np.sqrt(samples.shape[1])
         for i in range(8):
             for j in range(i + 1, 8):
                 bound = 4.0 * np.hypot(errs[i], errs[j])
@@ -253,9 +248,9 @@ class TestMonteCarloEsrc:
 
     def test_all_samples_positive_finite(self):
         cfg = make_config(trials=2000, fading=FadingParams(m=0.7, omega=1.0))
-        _, sset = monte_carlo_esrc(cfg)
-        assert np.all(sset.samples > 0.0)
-        assert np.all(np.isfinite(sset.samples))
+        _, samples = monte_carlo_esrc(cfg)
+        assert np.all(samples > 0.0)
+        assert np.all(np.isfinite(samples))
 
     def test_abort_when_too_many_singular(self, monkeypatch):
         # the kernel redraws the trials whose zf_sinr rows come back NaN;
@@ -299,16 +294,16 @@ class TestMonteCarloEsrc:
             for chunk in (1, 3):
                 marks.clear()
                 marks[(chunk, 0, 0)] = [trial]
-                _, sset = monte_carlo_esrc(cfg)
+                _, samples = monte_carlo_esrc(cfg)
                 column = chunk * step + trial
                 others = np.arange(cfg.trials) != column
-                assert np.array_equal(sset.samples[:, others], clean.samples[:, others])
+                assert np.array_equal(samples[:, others], clean[:, others])
                 # the replacement is attempt 1 of (seed, chunk, trial)
                 rng = trial_rng(cfg.seed, chunk, trial, 1)
                 h_w = sample_channel_matrix(8, 8, cfg.fading, rng, trials=1)
                 expected = real(compose_channel(h_w, root, cfg.mode), cfg.snr_linear)[0]
-                assert np.array_equal(sset.samples[:, column], expected), (workers, chunk)
-                assert not np.array_equal(sset.samples[:, column], clean.samples[:, column])
+                assert np.array_equal(samples[:, column], expected), (workers, chunk)
+                assert not np.array_equal(samples[:, column], clean[:, column])
                 # the redraw is counted: a second one in the same run crosses
                 # the 0.1% abort fraction of 1000 trials
                 marks[(chunk, 0, 0)] = [trial, trial + 1]
@@ -339,12 +334,12 @@ class TestMonteCarloEsrc:
         # chunk 0 is in the caller's range on both paths
         for workers in each_path(monkeypatch):
             grams.clear()
-            _, sset = monte_carlo_esrc(cfg)
+            _, samples = monte_carlo_esrc(cfg)
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(grams[0])
-            assert np.array_equal(sset.samples[:, others], clean.samples[:, others]), workers
+            assert np.array_equal(samples[:, others], clean[:, others]), workers
             # the zeroed trial is replaced by attempt 1 of (seed, 0, bad)
-            assert np.array_equal(sset.samples[:, bad], expected), workers
+            assert np.array_equal(samples[:, bad], expected), workers
 
 
 class TestForkedRanges:
@@ -378,27 +373,48 @@ class TestForkedRanges:
             trials=trials,
             seed=7,
         )
-        result, sset = self.run_with(monkeypatch, 1, cfg)
+        result, samples = self.run_with(monkeypatch, 1, cfg)
         for workers in (2, 3):
             split_result, split = self.run_with(monkeypatch, workers, cfg)
             # the mean and standard error are those of the same per-trial rates
             assert split_result == result, workers
-            assert np.array_equal(split.samples, sset.samples), workers
+            assert np.array_equal(split, samples), workers
 
-    def test_a_worker_that_dies_is_reported(self, monkeypatch):
+    def test_a_worker_killed_by_a_signal_is_rerun_in_the_caller(self, monkeypatch, caplog):
+        cfg = make_config(trials=1000)
+        result, samples = self.run_with(monkeypatch, 1, cfg)
         current = track_streams(monkeypatch)
         real = esrc.zf.zf_sinr
+        caller = os.getpid()
 
         def dying(h, snr, out=None):
-            if current["key"] == (3, 0, 0):
-                os._exit(3)
+            # only the child dies: the caller reruns chunk 3, and a kill
+            # there would end the test run itself
+            if current["key"] == (3, 0, 0) and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
             return real(h, snr, out=out)
 
         monkeypatch.setattr(esrc.zf, "zf_sinr", dying)
-        with pytest.raises(RuntimeError, match="exited with status 3"):
-            self.run_with(monkeypatch, 2, make_config(trials=1000))
+        with caplog.at_level(logging.WARNING, logger="esrc.zf"):
+            rerun_result, rerun = self.run_with(monkeypatch, 2, cfg)
+        assert rerun_result == result
+        assert np.array_equal(rerun, samples)
+        assert f"killed by signal {signal.SIGKILL:d}" in caplog.text
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_range_whose_child_succeeds_is_not_rerun(self, monkeypatch):
+        # a child records into its own copy, so this sees the caller's draws
+        drawn = []
+        real = esrc.zf.trial_rng
+
+        def recording(seed, chunk, trial=0, attempt=0):
+            drawn.append((chunk, trial, attempt))
+            return real(seed, chunk, trial, attempt)
+
+        monkeypatch.setattr(esrc.zf, "trial_rng", recording)
+        self.run_with(monkeypatch, 2, make_config(trials=1000))
+        assert drawn == [(0, 0, 0), (1, 0, 0)]
 
     def test_a_process_with_other_threads_does_not_fork(self):
         started, release = threading.Event(), threading.Event()
@@ -424,7 +440,10 @@ class TestForkedRanges:
         error = excinfo.value
         return type(error), str(error), getattr(error, "singular_trials", None)
 
-    # with 1000 trials, chunks 0-1 are the caller's range and 2-3 the child's
+    # with 1000 trials, 2 workers run chunks 0-1 in the caller and 2-3 in
+    # one child; 3 workers run chunk 0 in the caller, 1 in one child and
+    # 2-3 in another, so in the last case only the sum of the two
+    # children's counts crosses the limit
     @pytest.mark.parametrize(
         "marks, stuck, expected, singular_trials",
         [
@@ -433,6 +452,7 @@ class TestForkedRanges:
             ({1: [9], 3: [5]}, (3, 5), "trial 773 stayed singular", 1),
             ({3: [5, 6]}, None, "2 of 1000 trials", 2),
             ({1: [9], 2: [5]}, None, "2 of 1000 trials", 2),
+            ({1: [5], 2: [7]}, None, "2 of 1000 trials", 2),
         ],
     )
     def test_aborts_match_one_process(self, monkeypatch, marks, stuck, expected, singular_trials):
@@ -449,11 +469,13 @@ class TestForkedRanges:
         serial = self.outcome(monkeypatch, 1, cfg)
         assert serial[0] is MonteCarloAbort and expected in serial[1]
         assert serial[2] == singular_trials
-        assert self.outcome(monkeypatch, 2, cfg) == serial
+        for workers in (2, 3):
+            assert self.outcome(monkeypatch, workers, cfg) == serial, workers
 
     @pytest.mark.parametrize("chunk", [0, 3])
     def test_numerical_errors_match_one_process(self, monkeypatch, chunk):
-        # the SINR of one chunk underflows; forked, chunk 3 raises in the child
+        # the SINR of one chunk underflows; forked, chunk 3 fails in the child
+        # and again where the caller reruns its range
         current = track_streams(monkeypatch)
         real = esrc.zf.zf_sinr
 
@@ -659,7 +681,7 @@ class TestChunkedKernel:
                 trials=trials,
                 seed=99,
             )
-            return monte_carlo_esrc(cfg)[1].samples
+            return monte_carlo_esrc(cfg)[1]
 
         longest = run(2 * c + 3)
         for trials in (1, c - 1, c, c + 1):
@@ -697,10 +719,10 @@ class TestExactLawOracle:
         r = build_banded_correlation(spec)
         assume(np.linalg.eigvalsh(r)[0] > 1e-3)
         cfg = make_config(n_t=n, n_r=n, correlation=spec, trials=self.TRIALS, seed=self.SEED)
-        result, sset = monte_carlo_esrc(cfg)
+        result, samples = monte_carlo_esrc(cfg)
         betas = cfg.snr_linear / np.diagonal(np.linalg.inv(r))
         exact = esrc_closed_form(BetaVector(betas))
         assert abs(result.esrc_mc - exact) < 4.0 * result.std_err, (result, exact)
         for k in range(n):
-            p = stats.kstest(sset.samples[k] / betas[k], "expon").pvalue
+            p = stats.kstest(samples[k] / betas[k], "expon").pvalue
             assert p > 0.01 / n, (k, p)

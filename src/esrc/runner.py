@@ -25,10 +25,9 @@ import numpy as np
 from esrc.analytic import BetaVector, esrc_closed_form
 from esrc.channel import FadingParams, SemiCorrelationMode
 from esrc.config import MAX_SEED, SystemConfig
-from esrc.correlation import CorrelationSpec, NotPositiveSemidefiniteError
-from esrc.specfun import NumericalError
-from esrc.statfit import FitConvergenceError, fit_exponential, fit_gamma_ml
-from esrc.zf import MonteCarloAbort, monte_carlo_esrc
+from esrc.correlation import CorrelationSpec
+from esrc.statfit import MIN_FIT_SAMPLES, fit_exponential, fit_gamma_ml
+from esrc.zf import monte_carlo_esrc
 
 log = logging.getLogger(__name__)
 
@@ -310,23 +309,23 @@ def _measure(config: SystemConfig, full_fit: bool) -> Dict[str, Optional[float]]
 _NO_RESULT = dict.fromkeys(
     ("esrc_mc", "esrc_stderr", "esrc_analytic", "rel_err", "alpha_mean", "gof_pass_rate")
 )
-# failures confined to one point: an indefinite banded matrix, too many
-# singular channels, a fit or a closed-form term that does not converge
-_POINT_FAILURES = (
-    NotPositiveSemidefiniteError,
-    MonteCarloAbort,
-    FitConvergenceError,
-    NumericalError,
-)
 
 
 def run_sweep(plan: SweepPlan, full_fit: bool = False) -> List[SweepRow]:
     """Run every point of the plan in deterministic order.
 
-    A point that fails on its own (see _POINT_FAILURES) becomes a
-    status=failed row with empty result columns; the sweep keeps going so
-    one bad corner does not cost the whole table.
+    Any exception raised while a point is measured makes that point a
+    status=failed row with empty result columns, and a WARNING gives the
+    exception's type and message; the sweep keeps going so one bad corner
+    does not cost the whole table.  KeyboardInterrupt is not an Exception
+    and ends the sweep.  full_fit below MIN_FIT_SAMPLES trials per point
+    raises ValueError before any point runs.
     """
+    if full_fit and plan.base.trials < MIN_FIT_SAMPLES:
+        raise ValueError(
+            f"--full-fit needs at least {MIN_FIT_SAMPLES} trials per point, "
+            f"got {plan.base.trials}"
+        )
     rows: List[SweepRow] = []
     points = list(plan.points())
     log.info("sweep of %d points, %d trials each", len(points), plan.base.trials)
@@ -341,8 +340,8 @@ def run_sweep(plan: SweepPlan, full_fit: bool = False) -> List[SweepRow]:
                 columns["esrc_mc"],
                 columns["rel_err"],
             )
-        except _POINT_FAILURES as exc:
-            log.warning("%s: failed (%s)", _point_label(point), exc)
+        except Exception as exc:
+            log.warning("%s: failed (%s: %s)", _point_label(point), type(exc).__name__, exc)
             columns, status = _NO_RESULT, "failed"
         rows.append(SweepRow(**point, trials=config.trials, seed=seed, **columns, status=status))
     return rows

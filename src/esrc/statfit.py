@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from esrc.specfun import _gamma_cdf
+from esrc.specfun import NumericalError, _gamma_cdf
 
 N_BINS = 20
 # significance level of both goodness-of-fit gates
@@ -32,17 +32,13 @@ _CHI2_THRESHOLDS = (
     27.58711163827534, 28.869299430392623, 30.14352720564616,
 )
 # samples the chi-squared gate needs (10 expected per bin), so every full gamma fit too
-_MIN_FIT_SAMPLES = 200
+MIN_FIT_SAMPLES = 200
 _MAX_NEWTON = 200
 _RESIDUAL_TOL = 1e-10
 
 
 class FitConvergenceError(ArithmeticError):
-    """Shape solver failed; carries the last residual when one exists."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """The gamma ML shape estimate diverges or its solver does not converge."""
 
 
 @dataclass(frozen=True)
@@ -87,10 +83,16 @@ def _validate_samples(samples, min_count, who):
     return x
 
 
+def _sample_mean(x):
+    mean = float(np.mean(x))
+    if not math.isfinite(mean):
+        raise NumericalError("sample mean overflows float64")
+    return mean
+
+
 def fit_exponential(samples):
     """ML scale under fixed shape 1: the sample mean."""
-    x = _validate_samples(samples, 1, "fit_exponential")
-    return float(np.mean(x))
+    return _sample_mean(_validate_samples(samples, 1, "fit_exponential"))
 
 
 # B_2k / 2k and B_2k, k = 1..7: the asymptotic series of digamma and trigamma
@@ -164,8 +166,7 @@ def _solve_shape(s):
         alpha = max(alpha - step, 0.1 * alpha)
     raise FitConvergenceError(
         f"shape solver did not converge in {_MAX_NEWTON} iterations "
-        f"(residual {residual:.3e})",
-        residual=float(residual),
+        f"(residual {residual:.3e})"
     )
 
 
@@ -177,8 +178,8 @@ def fit_gamma_ml(samples):
     (zero-variance) input has no ML solution and raises
     FitConvergenceError.
     """
-    x = _validate_samples(samples, _MIN_FIT_SAMPLES, "fit_gamma_ml")
-    mean = float(np.mean(x))
+    x = _validate_samples(samples, MIN_FIT_SAMPLES, "fit_gamma_ml")
+    mean = _sample_mean(x)
     s = math.log(mean) - float(np.mean(np.log(x)))
     # Jensen gives s >= 0 with equality only for constant samples; anything
     # at rounding scale means the shape estimate diverges
@@ -224,7 +225,7 @@ def chi_square_gof(cdf_values, fitted_param_count):
 
     cdf_values holds the fitted CDF at each sample.
     """
-    u = _validate_cdf_values(cdf_values, _MIN_FIT_SAMPLES, "chi_square_gof")
+    u = _validate_cdf_values(cdf_values, MIN_FIT_SAMPLES, "chi_square_gof")
     if int(fitted_param_count) != fitted_param_count or fitted_param_count < 0:
         raise ValueError(f"fitted_param_count must be a non-negative integer")
     dof = N_BINS - 1 - int(fitted_param_count)

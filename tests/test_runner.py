@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 import os
 import signal
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import esrc
@@ -334,6 +335,39 @@ class TestPointSeed:
             point_seed(-1, self.point())
 
 
+# documents over the full ranges parse_config accepts with allow_extended:
+# 1x1 to 4x4 antennas on either side, log-uniform m and omega up to 1e308,
+# every representable SNR, and one swept axis of one or two values
+_LOG_UNIFORM = st.floats(-308.0, 308.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _sweep_docs(draw):
+    n_r = draw(st.integers(1, 4))
+    n_t = draw(st.integers(1, n_r))
+    side = draw(st.sampled_from(["transmit", "receive"]))
+    n_side = n_t if side == "transmit" else n_r
+    values = {
+        "snr_db": st.floats(-3236.0, 3082.0),
+        "rho": st.floats(0.0, 1.0, exclude_max=True),
+        "l_band": st.integers(0, n_side - 1),
+        "m": _LOG_UNIFORM,
+        "omega": _LOG_UNIFORM,
+    }
+    lines = [
+        f"n_t = {n_t}",
+        f"n_r = {n_r}",
+        f"side = {side}",
+        f"trials = {draw(st.sampled_from([1, 16, 300]))}",
+        f"seed = {draw(st.integers(0, 2**64 - 1))}",
+    ]
+    lines += [f"{name} = {draw(strategy)!r}" for name, strategy in values.items()]
+    axis = draw(st.sampled_from(AXIS_ORDER))
+    swept = draw(st.lists(values[axis], min_size=1, max_size=2, unique=True))
+    lines += [f"[sweep.{axis}]", "values = " + ", ".join(map(repr, swept))]
+    return "\n".join(lines) + "\n"
+
+
 class TestRunSweep:
     def test_rows_and_consistency(self):
         plan = tiny_plan("[sweep.snr_db]\nvalues = 0, 10\n")
@@ -367,17 +401,28 @@ class TestRunSweep:
         assert 0.7 < row.alpha_mean < 1.3
         assert 0.0 <= row.gof_pass_rate <= 1.0
 
-    def test_failed_point_keeps_the_sweep_going(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "error",
+        [
+            MonteCarloAbort("too many singular draws", 5, 100),
+            # the type matrix_sqrt raises when its eigensolver fails
+            ArithmeticError("eigensolver failed"),
+            ValueError("every beta must be positive and finite"),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_failed_point_keeps_the_sweep_going(self, monkeypatch, caplog, error):
         real = runner_mod.monte_carlo_esrc
 
         def flaky(config):
             if config.snr_db == 10.0:
-                raise MonteCarloAbort("too many singular draws", 5, 100)
+                raise error
             return real(config)
 
         monkeypatch.setattr(runner_mod, "monte_carlo_esrc", flaky)
         rows = run_sweep(tiny_plan("[sweep.snr_db]\nvalues = 0, 10, 20\n"))
         assert [row.status for row in rows] == ["ok", "failed", "ok"]
+        assert f"failed ({type(error).__name__}: {error})" in caplog.text
         failed = rows[1]
         assert failed.esrc_mc is None and failed.esrc_analytic is None
         assert failed.rel_err is None and failed.alpha_mean is None
@@ -397,6 +442,35 @@ class TestRunSweep:
         monkeypatch.setattr(runner_mod, "esrc_closed_form", flaky)
         rows = run_sweep(tiny_plan("[sweep.snr_db]\nvalues = 0, 10\n"))
         assert [row.status for row in rows] == ["failed", "ok"]
+
+    def test_full_fit_below_200_trials_raises_before_any_point(self, monkeypatch):
+        def no_point_may_run(config):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(runner_mod, "monte_carlo_esrc", no_point_may_run)
+        plan = parse_config("n_t = 2\nn_r = 2\ntrials = 150\n")
+        with pytest.raises(ValueError, match="needs at least 200 trials per point, got 150"):
+            run_sweep(plan, full_fit=True)
+
+    # 1.0-1.4 s for the 100 drawn documents and the two examples on 2 vCPUs
+    @given(doc=_sweep_docs(), full_fit=st.booleans())
+    @example(doc="n_t = 4\nn_r = 4\ntrials = 50\n[sweep.omega]\nvalues = 1, 1e306\n",
+             full_fit=False)
+    @example(doc="n_t = 4\nn_r = 4\ntrials = 50\n[sweep.snr_db]\nvalues = 10, 3070\n",
+             full_fit=False)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_every_accepted_document_gives_one_row_per_point(self, doc, full_fit):
+        plan = parse_config(doc, allow_extended=True)
+        full_fit = full_fit and plan.base.trials >= 200
+        rows = run_sweep(plan, full_fit=full_fit)
+        assert len(rows) == len(list(plan.points()))
+        for row in rows:
+            assert row.status in ("ok", "failed")
+            results = [row.esrc_mc, row.esrc_stderr, row.esrc_analytic, row.rel_err]
+            if full_fit:
+                results += [row.alpha_mean, row.gof_pass_rate]
+            if row.status == "ok":
+                assert all(math.isfinite(value) for value in results), row
 
 
 class TestCsvOutput:
@@ -630,16 +704,28 @@ class TestCli:
         assert [(row[2], row[-1]) for row in rows] == [("1", "failed"), ("7", "ok")]
         assert rows[0][7] == "" and float(rows[1][7]) > 0.0
 
-    def test_underflowing_sinr_fails_alone(self, tmp_path):
-        # -3233 dB passes the parse-time check as the smallest subnormal SNR,
-        # and the SINR underflows to 0; the 10 dB row must survive
+    @pytest.mark.parametrize(
+        "axis, values, reason",
+        [
+            # -3233 dB passes the parse-time check as the smallest subnormal
+            # SNR, and the SINR underflows to 0
+            ("snr_db", "10, -3233", "SINR underflows float64"),
+            # finite SINRs whose per-user mean overflows to inf
+            ("snr_db", "10, 3070", "sample mean overflows float64"),
+            ("omega", "1, 1e306", "sample mean overflows float64"),
+        ],
+        ids=["snr_db=-3233", "snr_db=3070", "omega=1e306"],
+    )
+    def test_underflowing_sinr_fails_alone(self, tmp_path, caplog, axis, values, reason):
+        # the first point must survive the second's failure
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("n_t = 4\nn_r = 4\ntrials = 50\n[sweep.snr_db]\nvalues = 10, -3233\n")
+        cfg.write_text(f"n_t = 4\nn_r = 4\ntrials = 50\n[sweep.{axis}]\nvalues = {values}\n")
         out = tmp_path / "out.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert {row["snr_db"]: row["status"] for row in rows} == {"10": "ok", "-3233": "failed"}
-        assert all(row["esrc_mc"] == "" for row in rows if row["status"] == "failed")
+        assert [row["status"] for row in rows] == ["ok", "failed"]
+        assert rows[1]["esrc_mc"] == ""
+        assert f"failed (NumericalError: {reason})" in caplog.text
 
     def test_pdf_table(self, tmp_path):
         out = tmp_path / "pdf.dat"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from esrc.specfun import NumericalError
 from esrc.statfit import (
     GOF_LEVEL,
     N_BINS,
@@ -46,6 +47,14 @@ class TestFitExponential:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fit_exponential([1.0, 0.0])
+
+
+@pytest.mark.parametrize("fit", [fit_exponential, fit_gamma_ml])
+def test_overflowing_sample_mean_raises(fit):
+    # every sample is finite, but their sum overflows float64
+    x = np.random.default_rng(48).uniform(1e307, 1e308, size=300)
+    with pytest.raises(NumericalError, match="sample mean overflows float64"):
+        fit(x)
 
 
 class TestFitGammaMl:

@@ -18,9 +18,12 @@ matrix square root multiplying the i.i.d. matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from esrc.specfun import NumericalError
 
 
 @dataclass(frozen=True)
@@ -31,10 +34,10 @@ class FadingParams:
     omega: float
 
     def __post_init__(self):
-        if not (self.m > 0.0 and np.isfinite(self.m)):
-            raise ValueError(f"m must be positive and finite, got {self.m!r}")
-        if not (self.omega > 0.0 and np.isfinite(self.omega)):
-            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
+        for name in ("m", "omega"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} out of range (0, inf), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ def sample_nakagami_component(params, rng, size, out=None):
 
     out, if given, is three C-contiguous float64 arrays of shape size that
     the draw overwrites in place of allocating its own; the result is the
-    first of them.
+    first of them.  An omega/m that overflows float64 raises NumericalError.
     """
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
@@ -75,6 +78,11 @@ def sample_nakagami_component(params, rng, size, out=None):
             "rng needs a bit generator seeded from a SeedSequence to spawn its "
             f"sign substream, got {type(rng.bit_generator).__name__} without one"
         ) from None
+    scale = params.omega / params.m
+    if not math.isfinite(scale):
+        raise NumericalError(
+            f"omega/m overflows float64 (omega={params.omega!r}, m={params.m!r})"
+        )
     g, v, boost = (np.empty(size) for _ in range(3)) if out is None else out
     a = 0.5 * params.m
     rng.standard_gamma(a + 1.0, out=g)
@@ -84,7 +92,7 @@ def sample_nakagami_component(params, rng, size, out=None):
     v -= 1.0
     np.abs(v, out=boost)
     np.power(boost, 1.0 / a, out=boost)
-    boost *= params.omega / params.m
+    boost *= scale
     g *= boost
     np.sqrt(g, out=g)
     np.copysign(g, v, out=g)

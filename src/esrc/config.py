@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from esrc.channel import FadingParams, SemiCorrelationMode
@@ -29,10 +30,10 @@ class SystemConfig:
     seed: int
 
     def __post_init__(self):
-        if int(self.n_t) != self.n_t or self.n_t < 1:
-            raise ValueError(f"n_t must be a positive integer, got {self.n_t!r}")
-        if int(self.n_r) != self.n_r or self.n_r < 1:
-            raise ValueError(f"n_r must be a positive integer, got {self.n_r!r}")
+        for name in ("n_t", "n_r", "trials"):
+            value = getattr(self, name)
+            if int(value) != value or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.n_r < self.n_t:
             raise ValueError(
                 f"zero-forcing needs n_r >= n_t, got n_r={self.n_r!r} < n_t={self.n_t!r}"
@@ -43,10 +44,15 @@ class SystemConfig:
                 f"correlation.n={self.correlation.n!r} but the {self.mode.side} side "
                 f"has {expected} antennas"
             )
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if int(self.seed) != self.seed or not (0 <= self.seed <= MAX_SEED):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        # the linear SNR overflows above about 3082 dB and underflows to 0
+        # below about -3236 dB
+        if not 0.0 < self.snr_linear < math.inf:
+            raise ValueError(
+                "snr_db out of range: 10^(snr_db/10) must be a positive finite float, "
+                f"got {self.snr_db!r}"
+            )
+        if int(self.seed) != self.seed or not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed out of range [0, 2^64-1], got {self.seed!r}")
 
     @property
     def n_users(self):
@@ -54,4 +60,7 @@ class SystemConfig:
 
     @property
     def snr_linear(self):
-        return 10.0 ** (self.snr_db / 10.0)
+        try:
+            return 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:
+            return math.inf

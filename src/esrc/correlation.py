@@ -45,12 +45,14 @@ class CorrelationSpec:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (0.0 <= self.rho < 1.0):
-            raise ValueError(f"rho must lie in [0, 1), got {self.rho!r}")
-        if int(self.l_band) != self.l_band or not (0 <= self.l_band <= self.n - 1):
-            raise ValueError(
-                f"l_band must be an integer in [0, n-1], got {self.l_band!r} for n={self.n!r}"
-            )
+        if not 0.0 <= self.rho < 1.0:
+            raise ValueError(f"rho out of range [0, 1), got {self.rho!r}")
+        if int(self.l_band) != self.l_band:
+            raise ValueError(f"l_band must be an integer, got {self.l_band!r}")
+        if self.l_band > self.n - 1:
+            raise ValueError(f"l_band exceeds n-1 (n={self.n}, got {self.l_band})")
+        if self.l_band < 0:
+            raise ValueError(f"l_band out of range [0, {self.n - 1}], got {self.l_band}")
 
 
 def build_banded_correlation(spec):

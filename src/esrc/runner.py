@@ -7,8 +7,9 @@ derived by hashing the master seed together with the point's parameter
 values, so editing one axis never perturbs the other points' streams.
 
 Every value of a sweepable parameter, whether a document scalar, a preset
-default, a [sweep.*] entry or a SweepPlan axis value, is parsed and
-range-checked by its AXES entry; the figure presets are PRESETS data.
+default, a [sweep.*] entry or a SweepPlan axis value, is read by its AXES
+token parser and range-checked by the model dataclasses, through a
+reference SystemConfig that holds it; the figure presets are PRESETS data.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import logging
-import math
-from dataclasses import astuple, dataclass, fields
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass, fields, replace
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from esrc.analytic import BetaVector, esrc_closed_form
 from esrc.channel import FadingParams, SemiCorrelationMode
-from esrc.config import MAX_SEED, SystemConfig
+from esrc.config import SystemConfig
 from esrc.correlation import CorrelationSpec
 from esrc.statfit import MIN_FIT_SAMPLES, fit_exponential, fit_gamma_ml
 from esrc.zf import monte_carlo_esrc
@@ -51,12 +51,9 @@ def _integer(name, token):
 
 def _real(name, token, n_side):
     try:
-        value = float(token)
+        return float(token)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a real number, got {token!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {token!r}")
-    return value
 
 
 def _band(name, token, n_side):
@@ -64,64 +61,32 @@ def _band(name, token, n_side):
     return n_side - 1 if token == "full" else _integer(name, token)
 
 
-def _snr_range(name, value, n_side, extended):
-    # the linear SNR 10^(snr_db/10) overflows above about 3082 dB and
-    # underflows to 0 below about -3236 dB
-    try:
-        linear = 10.0 ** (value / 10.0)
-    except OverflowError:
-        linear = math.inf
-    if not (linear > 0.0 and math.isfinite(linear)):
-        raise ValueError(
-            f"snr_db out of range: 10^(snr_db/10) must be a positive finite float, got {value!r}"
-        )
-
-
-def _rho_range(name, value, n_side, extended):
-    below_top, span = (value < 1.0, "[0, 1)") if extended else (value <= 0.5, "[0, 0.5]")
-    if not (value >= 0.0 and below_top):
-        raise ValueError(f"rho out of range {span}, got {value!r}")
-
-
-def _band_range(name, value, n_side, extended):
-    if value > n_side - 1:
-        raise ValueError(f"l_band exceeds n-1 (n={n_side}, got {value})")
-    if value < 0:
-        raise ValueError(f"l_band out of range [0, {n_side - 1}], got {value}")
-
-
-def _positive(name, value, n_side, extended):
-    if not value > 0.0:
-        raise ValueError(f"{name} out of range (0, inf), got {value!r}")
-
-
-class Axis(NamedTuple):
-    """How one sweepable parameter is read and which values it admits.
-
-    parse(name, token, n_side) turns document text or a number into the
-    value; check(name, value, n_side, extended) raises ValueError naming
-    the violated range.  n_side is the correlated side's antenna count and
-    extended lifts the rho bound from [0, 0.5] to the model's [0, 1).
-    """
-
-    parse: Callable
-    check: Callable
-
-
-AXES = {
-    "snr_db": Axis(_real, _snr_range),
-    "rho": Axis(_real, _rho_range),
-    "l_band": Axis(_band, _band_range),
-    "m": Axis(_real, _positive),
-    "omega": Axis(_real, _positive),
-}
+# each sweepable parameter's token parser: parse(name, token, n_side), where
+# n_side is the correlated side's antenna count
+AXES = {"snr_db": _real, "rho": _real, "l_band": _band, "m": _real, "omega": _real}
 AXIS_ORDER = tuple(AXES)
 
 
-def _axis_value(name, token, n_side, extended):
-    axis = AXES[name]
-    value = axis.parse(name, token, n_side)
-    axis.check(name, value, n_side, extended)
+def _point_of(config):
+    """The five sweepable parameters of config, by name."""
+    return {
+        "snr_db": float(config.snr_db),
+        "rho": float(config.correlation.rho),
+        "l_band": int(config.correlation.l_band),
+        "m": float(config.fading.m),
+        "omega": float(config.fading.omega),
+    }
+
+
+def _axis_value(name, token, reference, extended):
+    """The value of token, checked by a copy of reference that holds it.
+
+    extended lifts the document policy rho <= 0.5 to the model's [0, 1).
+    """
+    value = AXES[name](name, token, reference.correlation.n)
+    if name == "rho" and not extended and value > 0.5:
+        raise ValueError(f"rho out of range [0, 0.5], got {value!r}")
+    _config_for_point(reference, {**_point_of(reference), name: value}, reference.seed)
     return value
 
 
@@ -138,8 +103,8 @@ def _parsed(parse, name, lineno, token, *context):
         raise _at(lineno, str(exc)) from None
 
 
-def _axis_values(name, tokens, n_side, extended, lineno=None):
-    values = tuple(_parsed(_axis_value, name, lineno, t, n_side, extended) for t in tokens)
+def _axis_values(name, tokens, reference, extended, lineno=None):
+    values = tuple(_parsed(_axis_value, name, lineno, t, reference, extended) for t in tokens)
     if not values:
         raise _at(lineno, f"sweep axis {name!r} has no values")
     if len(set(values)) != len(values):
@@ -195,9 +160,7 @@ class SweepPlan:
                     f"unknown sweep axis {name!r}; valid axes: {', '.join(AXIS_ORDER)}"
                 )
             # the model domain: rho in [0, 1) whatever the document allowed
-            normalized.append(
-                (name, _axis_values(name, values, self.base.correlation.n, extended=True))
-            )
+            normalized.append((name, _axis_values(name, values, self.base, extended=True)))
         names = [name for name, _ in normalized]
         if len(set(names)) != len(names):
             raise ValueError("sweep axis names must be unique")
@@ -210,14 +173,7 @@ class SweepPlan:
         Every yielded dict carries all five sweepable parameters, swept or
         not, so the seed hash never depends on which axes happen to exist.
         """
-        base = self.base
-        fixed = {
-            "snr_db": float(base.snr_db),
-            "rho": float(base.correlation.rho),
-            "l_band": int(base.correlation.l_band),
-            "m": float(base.fading.m),
-            "omega": float(base.fading.omega),
-        }
+        fixed = _point_of(self.base)
         names = [name for name, _ in self.axes]
         lists = [values for _, values in self.axes]
         for combo in itertools.product(*lists):
@@ -255,10 +211,13 @@ def point_seed(master_seed: int, point: Dict[str, float]) -> int:
     Hash-based rather than index-based so adding or removing values on one
     axis never changes any other point's stream.
     """
-    if not 0 <= int(master_seed) <= MAX_SEED:
-        raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
     digest = hashlib.blake2b(digest_size=8)
-    digest.update(int(master_seed).to_bytes(8, "little"))
+    try:
+        digest.update(int(master_seed).to_bytes(8, "little"))
+    except OverflowError:
+        raise ValueError(
+            f"master seed must be a 64-bit unsigned integer, got {master_seed!r}"
+        ) from None
     for name in AXIS_ORDER:
         digest.update(f"{name}={float(point[name])!r};".encode("ascii"))
     return int.from_bytes(digest.digest(), "little")
@@ -373,16 +332,11 @@ def emit_csv(rows: Sequence[SweepRow], destination) -> str:
 
 
 def _count(name, token):
+    # checked here, not only by SystemConfig: the correlated side's size
+    # comes from these counts before any reference config exists
     value = _integer(name, token)
     if value < 1:
-        raise ValueError(f"{name} out of range [1, inf), got {value!r}")
-    return value
-
-
-def _seed(name, token):
-    value = _integer(name, token)
-    if not 0 <= value <= MAX_SEED:
-        raise ValueError(f"seed out of range [0, 2^64-1], got {value!r}")
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 
@@ -390,14 +344,13 @@ def _side(name, token):
     return SemiCorrelationMode(token)
 
 
-# the scalar keys that are not sweepable: parser and default
-_SETTINGS = {
-    "n_t": (_count, 8),
-    "n_r": (_count, 8),
-    "side": (_side, "transmit"),
-    "trials": (_count, DEFAULT_TRIALS),
-    "seed": (_seed, 0),
-}
+def _setting(name, token, reference):
+    """reference with its integer field name (trials or seed) read from token."""
+    return replace(reference, **{name: _integer(name, token)})
+
+
+# the antenna settings: parser and default
+_SETTINGS = {"n_t": (_count, 8), "n_r": (_count, 8), "side": (_side, "transmit")}
 _SCALAR_KEYS = ("preset", "n_t", "n_r", *AXES, "side", "trials", "seed")
 
 
@@ -431,39 +384,43 @@ def parse_config(
         key: _parsed(parse, key, *scalars.get(key, (None, default)))
         for key, (parse, default) in _SETTINGS.items()
     }
-    for key, override in (("trials", trials), ("seed", seed)):
-        if override is not None:
-            settings[key] = _parsed(_SETTINGS[key][0], key, None, override)
     mode = settings["side"]
     n_side = mode.correlated_count(settings["n_r"], settings["n_t"])
+    # the defaults hold for every antenna count, so a value checked against
+    # this reference fails only on its own range
+    defaults = {name: AXES[name](name, token, n_side) for name, token in _BASE_DEFAULTS.items()}
+    try:
+        reference = SystemConfig(
+            n_t=settings["n_t"],
+            n_r=settings["n_r"],
+            snr_db=defaults["snr_db"],
+            fading=FadingParams(m=defaults["m"], omega=defaults["omega"]),
+            correlation=CorrelationSpec(n=n_side, rho=defaults["rho"], l_band=defaults["l_band"]),
+            mode=mode,
+            trials=DEFAULT_TRIALS,
+            seed=0,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for key, override in (("trials", trials), ("seed", seed)):
+        for lineno, token in (scalars.get(key, (None, None)), (None, override)):
+            if token is not None:
+                reference = _parsed(_setting, key, lineno, token, reference)
 
     base = {}
     for name in AXES:
         default = recipe.base.get(name, _BASE_DEFAULTS[name])
         lineno, token = scalars.get(name, (None, default))
-        base[name] = _parsed(_axis_value, name, lineno, token, n_side, allow_extended)
+        base[name] = _parsed(_axis_value, name, lineno, token, reference, allow_extended)
     axes = []
     for name, values in recipe.axes.items():
-        tokens = values(_band("l_band", "full", n_side)) if callable(values) else values
-        axes.append((name, _axis_values(name, tokens, n_side, allow_extended)))
+        tokens = values(n_side - 1) if callable(values) else values
+        axes.append((name, _axis_values(name, tokens, reference, allow_extended)))
     for name, (lineno, tokens) in sections.items():
         if name in recipe.keeps:
-            axes.append((name, _axis_values(name, tokens, n_side, allow_extended, lineno)))
-
-    try:
-        plan_base = SystemConfig(
-            n_t=settings["n_t"],
-            n_r=settings["n_r"],
-            snr_db=base["snr_db"],
-            fading=FadingParams(m=base["m"], omega=base["omega"]),
-            correlation=CorrelationSpec(n=n_side, rho=base["rho"], l_band=base["l_band"]),
-            mode=mode,
-            trials=settings["trials"],
-            seed=settings["seed"],
-        )
-        return SweepPlan(base=plan_base, axes=tuple(axes))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+            axes.append((name, _axis_values(name, tokens, reference, allow_extended, lineno)))
+    plan_base = _config_for_point(reference, base, reference.seed)
+    return SweepPlan(base=plan_base, axes=tuple(axes))
 
 
 def _parse_document(text):

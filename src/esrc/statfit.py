@@ -22,15 +22,9 @@ from esrc.specfun import NumericalError, _gamma_cdf
 N_BINS = 20
 # significance level of both goodness-of-fit gates
 GOF_LEVEL = 0.05
-# scipy.stats.chi2.ppf(1 - GOF_LEVEL, dof) for dof = 1 .. N_BINS - 1, the
-# only dofs chi_square_gof produces, copied to the last digit
-_CHI2_THRESHOLDS = (
-    3.841458820694124, 5.991464547107979, 7.814727903251179, 9.487729036781154,
-    11.070497693516351, 12.591587243743977, 14.067140449340169, 15.50731305586545,
-    16.918977604620448, 18.307038053275146, 19.67513757268249, 21.02606981748307,
-    22.362032494826934, 23.684791304840576, 24.995790139728616, 26.29622760486423,
-    27.58711163827534, 28.869299430392623, 30.14352720564616,
-)
+# scipy.stats.chi2.ppf(1 - GOF_LEVEL, 17), copied to the last digit: the
+# chi-squared gate has N_BINS - 1 dof less the gamma fit's two parameters
+_CHI2_THRESHOLD = 27.58711163827534
 # samples the chi-squared gate needs (10 expected per bin), so every full gamma fit too
 MIN_FIT_SAMPLES = 200
 _MAX_NEWTON = 200
@@ -62,7 +56,6 @@ class GammaFit:
 @dataclass(frozen=True)
 class ChiSquareResult:
     stat: float
-    dof: int
     passed: bool
 
 
@@ -190,7 +183,7 @@ def fit_gamma_ml(samples):
     alpha = _solve_shape(s)
     beta = mean / alpha
     u = _gamma_cdf(alpha, x / beta)
-    chi2 = chi_square_gof(u, fitted_param_count=2)
+    chi2 = chi_square_gof(u)
     ks = ks_gof(u)
     return GammaFit(
         alpha=alpha,
@@ -200,13 +193,6 @@ def fit_gamma_ml(samples):
         chi2_stat=chi2.stat,
         ks_stat=ks.stat,
     )
-
-
-def chi2_threshold(dof):
-    """Chi-squared critical value at GOF_LEVEL for dof = 1 .. N_BINS - 1 degrees of freedom."""
-    if int(dof) != dof or not 1 <= dof < N_BINS:
-        raise ValueError(f"dof must be an integer in [1, {N_BINS - 1}], got {dof!r}")
-    return _CHI2_THRESHOLDS[int(dof) - 1]
 
 
 def _validate_cdf_values(cdf_values, min_count, who):
@@ -220,21 +206,16 @@ def _validate_cdf_values(cdf_values, min_count, who):
     return u
 
 
-def chi_square_gof(cdf_values, fitted_param_count):
-    """Pearson test at GOF_LEVEL on N_BINS equiprobable bins.
+def chi_square_gof(cdf_values):
+    """Pearson test at GOF_LEVEL on N_BINS equiprobable bins, with 17 dof.
 
-    cdf_values holds the fitted CDF at each sample.
+    cdf_values holds the two-parameter fitted CDF at each sample.
     """
     u = _validate_cdf_values(cdf_values, MIN_FIT_SAMPLES, "chi_square_gof")
-    if int(fitted_param_count) != fitted_param_count or fitted_param_count < 0:
-        raise ValueError(f"fitted_param_count must be a non-negative integer")
-    dof = N_BINS - 1 - int(fitted_param_count)
-    if dof < 1:
-        raise ValueError(f"fitted_param_count {fitted_param_count} leaves no freedom")
     expected = u.size / N_BINS
     observed, _ = np.histogram(u, bins=N_BINS, range=(0.0, 1.0))
     stat = float(np.sum((observed - expected) ** 2 / expected))
-    return ChiSquareResult(stat=stat, dof=dof, passed=stat < chi2_threshold(dof))
+    return ChiSquareResult(stat=stat, passed=stat < _CHI2_THRESHOLD)
 
 
 def ks_threshold(n):

@@ -1,5 +1,7 @@
 """Tests for the system configuration container."""
 
+import math
+
 import pytest
 
 from esrc.channel import FadingParams, SemiCorrelationMode
@@ -32,6 +34,12 @@ class TestSystemConfig:
         assert make_config(snr_db=0.0).snr_linear == pytest.approx(1.0)
         assert make_config(snr_db=20.0).snr_linear == pytest.approx(100.0)
         assert make_config(snr_db=3.0).snr_linear == pytest.approx(1.9952623149688795)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, math.nan, math.inf])
+    def test_rejects_out_of_range_snr(self, snr_db):
+        # 10^(snr_db/10) must be a positive finite float
+        with pytest.raises(ValueError, match=r"^snr_db out of range: .*got"):
+            make_config(snr_db=snr_db)
 
     def test_rejects_wide_channel(self):
         with pytest.raises(ValueError, match="n_r >= n_t"):

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,31 @@ class TestParseConfig:
         doc = "[sweep.m]\nvalues = 1, 2\n[sweep.snr_db]\nvalues = 0, 5\n"
         plan = parse_config(doc)
         assert [name for name, _ in plan.axes] == ["snr_db", "m"]
+
+    @pytest.mark.parametrize(
+        "doc, owner, field, value",
+        [
+            ("rho = 1.0", "correlation", "rho", 1.0),
+            ("l_band = 8", "correlation", "l_band", 8),
+            ("l_band = -1", "correlation", "l_band", -1),
+            ("m = 0", "fading", "m", 0.0),
+            ("omega = inf", "fading", "omega", math.inf),
+            ("snr_db = 4000", None, "snr_db", 4000.0),
+            ("snr_db = -4000", None, "snr_db", -4000.0),
+            ("snr_db = nan", None, "snr_db", math.nan),
+            ("trials = 0", None, "trials", 0),
+            ("seed = -1", None, "seed", -1),
+            (f"seed = {2**64}", None, "seed", 2**64),
+        ],
+    )
+    def test_the_dataclass_and_the_parser_give_one_message(self, doc, owner, field, value):
+        # the default 8x8 transmit-side point, one field of it set to value
+        base = parse_config("").base
+        with pytest.raises(ValueError) as from_model:
+            replace(base if owner is None else getattr(base, owner), **{field: value})
+        with pytest.raises(ConfigError) as from_parser:
+            parse_config(doc + "\n", allow_extended=True)
+        assert str(from_parser.value) == f"line 1: {from_model.value}"
 
 
 # documents drawn from the grammar's keys, values and section headers, mixed
@@ -442,6 +468,12 @@ class TestRunSweep:
         monkeypatch.setattr(runner_mod, "esrc_closed_form", flaky)
         rows = run_sweep(tiny_plan("[sweep.snr_db]\nvalues = 0, 10\n"))
         assert [row.status for row in rows] == ["failed", "ok"]
+
+    def test_overflowing_omega_over_m_fails_naming_it(self, caplog):
+        plan = parse_config("n_t = 2\nn_r = 3\nm = 1e-308\nomega = 1e308\ntrials = 16\n")
+        (row,) = run_sweep(plan)
+        assert row.status == "failed"
+        assert "failed (NumericalError: omega/m overflows float64" in caplog.text
 
     def test_full_fit_below_200_trials_raises_before_any_point(self, monkeypatch):
         def no_point_may_run(config):

@@ -12,9 +12,9 @@ from esrc.statfit import (
     N_BINS,
     FitConvergenceError,
     GammaFit,
+    _CHI2_THRESHOLD,
     _digamma,
     _trigamma,
-    chi2_threshold,
     chi_square_gof,
     fit_exponential,
     fit_gamma_ml,
@@ -128,14 +128,14 @@ class TestGammaFitValidation:
 
 class TestChiSquareGof:
     def test_calibration_under_null(self):
-        # fitted-scale exponential data: ~95% pass rate at level 0.05
+        # gamma data under its own two-parameter ML fit, the gate's only use:
+        # ~95% pass rate at level 0.05
         rng = np.random.default_rng(48)
         passes = 0
         reps = 200
         for _ in range(reps):
-            x = rng.exponential(scale=1.0, size=100_000)
-            result = chi_square_gof(expon_cdf(np.mean(x))(x), fitted_param_count=1)
-            passes += result.passed
+            x = rng.gamma(shape=2.0, scale=1.0, size=10_000)
+            passes += fit_gamma_ml(x).chi2_pass
         # binomial 3 sigma around 0.95: [181, 199] of 200
         assert 181 <= passes <= 199
 
@@ -143,40 +143,25 @@ class TestChiSquareGof:
         rng = np.random.default_rng(49)
         x = rng.exponential(scale=1.0, size=100_000)
         hi = float(np.max(x))
-        result = chi_square_gof(x / hi, fitted_param_count=1)
+        result = chi_square_gof(x / hi)
         assert not result.passed
-        assert result.stat > 100.0 * result.dof
+        assert result.stat > 1800.0
 
     def test_perfect_bins_give_zero_stat(self):
         medians = -np.log(1.0 - (np.arange(20) + 0.5) / 20.0)
         x = np.repeat(medians, 10)
-        result = chi_square_gof(expon_cdf(1.0)(x), fitted_param_count=0)
+        result = chi_square_gof(expon_cdf(1.0)(x))
         assert result.stat == 0.0
-        assert result.dof == 19
         assert result.passed
-
-    def test_dof_accounts_for_fitted_params(self):
-        x = np.repeat(-np.log(1.0 - (np.arange(20) + 0.5) / 20.0), 10)
-        assert chi_square_gof(expon_cdf(1.0)(x), fitted_param_count=2).dof == 17
 
     def test_rejects_small_sample(self):
         with pytest.raises(ValueError):
-            chi_square_gof(expon_cdf(1.0)(np.linspace(0.1, 1.0, 199)), 0)
+            chi_square_gof(expon_cdf(1.0)(np.linspace(0.1, 1.0, 199)))
 
     def test_threshold_equals_scipy_stats_exactly(self):
         # a threshold one ulp off could flip a gate whose statistic sits on
-        # it; dof 1 .. N_BINS - 1 are all the dofs chi_square_gof produces
-        off = [
-            dof
-            for dof in range(1, N_BINS)
-            if chi2_threshold(dof) != stats.chi2.ppf(1.0 - GOF_LEVEL, dof)
-        ]
-        assert off == []
-
-    def test_threshold_outside_the_table_raises(self):
-        for dof in (0, N_BINS, 1.5):
-            with pytest.raises(ValueError, match="dof must be an integer"):
-                chi2_threshold(dof)
+        # it; N_BINS - 1 less the gamma fit's two parameters leaves 17 dof
+        assert _CHI2_THRESHOLD == stats.chi2.ppf(1.0 - GOF_LEVEL, N_BINS - 3)
 
     def test_rejects_values_outside_the_unit_interval(self):
         u = np.linspace(0.0, 1.0, 400)
@@ -184,7 +169,7 @@ class TestChiSquareGof:
             v = u.copy()
             v[7] = bad
             with pytest.raises(ValueError, match="cdf values in"):
-                chi_square_gof(v, fitted_param_count=0)
+                chi_square_gof(v)
             with pytest.raises(ValueError, match="cdf values in"):
                 ks_gof(v)
 

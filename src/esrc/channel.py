@@ -67,7 +67,8 @@ def sample_nakagami_component(params, rng, size, out=None):
 
     out, if given, is three C-contiguous float64 arrays of shape size that
     the draw overwrites in place of allocating its own; the result is the
-    first of them.  An omega/m that overflows float64 raises NumericalError.
+    first of them.  An omega/m that overflows or underflows float64 raises
+    NumericalError.
     """
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
@@ -79,9 +80,10 @@ def sample_nakagami_component(params, rng, size, out=None):
             f"sign substream, got {type(rng.bit_generator).__name__} without one"
         ) from None
     scale = params.omega / params.m
-    if not math.isfinite(scale):
+    if not 0.0 < scale < math.inf:
+        flow = "underflows" if scale == 0.0 else "overflows"
         raise NumericalError(
-            f"omega/m overflows float64 (omega={params.omega!r}, m={params.m!r})"
+            f"omega/m {flow} float64 (omega={params.omega!r}, m={params.m!r})"
         )
     g, v, boost = (np.empty(size) for _ in range(3)) if out is None else out
     a = 0.5 * params.m

@@ -23,11 +23,7 @@ PSD_TOL = 1e-12
 
 
 class NotPositiveSemidefiniteError(ValueError):
-    """Raised when a matrix fails the PSD gate; carries min_eig."""
-
-    def __init__(self, message, min_eig=None):
-        super().__init__(message)
-        self.min_eig = min_eig
+    """Raised when a matrix fails the PSD gate; the message gives its smallest eigenvalue."""
 
 
 @dataclass(frozen=True)
@@ -69,9 +65,9 @@ def matrix_sqrt(matrix, spec=None):
     matrix that is not square or not Hermitian raises ValueError, and an
     eigensolver failure raises ArithmeticError naming a blake2b fingerprint
     of the matrix bytes.  A smallest eigenvalue below -PSD_TOL raises
-    NotPositiveSemidefiniteError with that eigenvalue as min_eig; spec, if
-    given, is named in its message.  Eigenvalues in [-PSD_TOL, 0) are
-    eigensolver round-off on a PSD matrix and are clamped to zero.
+    NotPositiveSemidefiniteError, whose message gives that eigenvalue and
+    spec, if given.  Eigenvalues in [-PSD_TOL, 0) are eigensolver round-off
+    on a PSD matrix and are clamped to zero.
     """
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -85,12 +81,11 @@ def matrix_sqrt(matrix, spec=None):
             f"eigendecomposition failed for {arr.shape[0]}x{arr.shape[1]} matrix "
             f"(fingerprint {hashlib.blake2b(arr.tobytes(), digest_size=4).hexdigest()})"
         ) from exc
-    min_eig = float(eigvals[0])
-    if not min_eig >= -PSD_TOL:
+    lowest = float(eigvals[0])
+    if not lowest >= -PSD_TOL:
         origin = f" for {spec!r}" if spec is not None else ""
         raise NotPositiveSemidefiniteError(
-            f"matrix is not positive semidefinite{origin}: min eigenvalue {min_eig:.6e}",
-            min_eig=min_eig,
+            f"matrix is not positive semidefinite{origin}: min eigenvalue {lowest:.6e}"
         )
     eigvals = np.clip(eigvals, 0.0, None)
     root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T

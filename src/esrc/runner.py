@@ -247,14 +247,14 @@ def _config_for_point(base: SystemConfig, point, seed: int) -> SystemConfig:
 
 def _measure(config: SystemConfig, full_fit: bool) -> Dict[str, Optional[float]]:
     """The result columns of one point."""
-    result, samples = monte_carlo_esrc(config)
+    esrc_mc, std_err, samples = monte_carlo_esrc(config)
     betas = [fit_exponential(row) for row in samples]
     analytic = esrc_closed_form(BetaVector(betas))
     columns = dict(
-        esrc_mc=result.esrc_mc,
-        esrc_stderr=result.std_err,
+        esrc_mc=esrc_mc,
+        esrc_stderr=std_err,
         esrc_analytic=analytic,
-        rel_err=abs(result.esrc_mc - analytic) / analytic,
+        rel_err=abs(esrc_mc - analytic) / analytic,
         alpha_mean=None,
         gof_pass_rate=None,
     )

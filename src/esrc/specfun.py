@@ -70,12 +70,7 @@ class NumericalError(ArithmeticError):
 
 
 class LaplaceInversionError(ArithmeticError):
-    """Laplace inversion failed; carries the offending node when known."""
-
-    def __init__(self, message, node=None, point=None):
-        super().__init__(message)
-        self.node = node
-        self.point = point
+    """Laplace inversion failed; the message names the node and t when known."""
 
 
 def _stirling_tail(w):
@@ -399,11 +394,9 @@ def invert_laplace(transform, grid):
     bad = ~(np.isfinite(values.real) & np.isfinite(values.imag))
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        node, point = complex(nodes[row, col]), float(pts[row])
         raise LaplaceInversionError(
-            f"transform returned a non-finite value at node {node!r} (t={point!r})",
-            node=node,
-            point=point,
+            f"transform returned a non-finite value at node {complex(nodes[row, col])!r} "
+            f"(t={float(pts[row])!r})"
         )
     terms = np.where(k % 2 == 0, 1.0, -1.0) * values.real
     terms[:, 0] = 0.5 * values[:, 0].real

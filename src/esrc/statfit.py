@@ -53,18 +53,6 @@ class GammaFit:
             raise ValueError(f"ks_stat must lie in [0, 1], got {self.ks_stat!r}")
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
-    stat: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class KsResult:
-    stat: float
-    passed: bool
-
-
 def _validate_samples(samples, min_count, who):
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -77,7 +65,9 @@ def _validate_samples(samples, min_count, who):
 
 
 def _sample_mean(x):
-    mean = float(np.mean(x))
+    # an overflow here is reported as the NumericalError below
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(x))
     if not math.isfinite(mean):
         raise NumericalError("sample mean overflows float64")
     return mean
@@ -188,10 +178,10 @@ def fit_gamma_ml(samples):
     return GammaFit(
         alpha=alpha,
         beta=beta,
-        chi2_pass=chi2.passed,
-        ks_pass=ks.passed,
-        chi2_stat=chi2.stat,
-        ks_stat=ks.stat,
+        chi2_pass=chi2 < _CHI2_THRESHOLD,
+        ks_pass=ks < ks_threshold(u.size),
+        chi2_stat=chi2,
+        ks_stat=ks,
     )
 
 
@@ -207,15 +197,15 @@ def _validate_cdf_values(cdf_values, min_count, who):
 
 
 def chi_square_gof(cdf_values):
-    """Pearson test at GOF_LEVEL on N_BINS equiprobable bins, with 17 dof.
+    """Pearson statistic on N_BINS equiprobable bins, as a float.
 
-    cdf_values holds the two-parameter fitted CDF at each sample.
+    cdf_values holds the two-parameter fitted CDF at each sample.  The
+    gate at GOF_LEVEL, with 17 dof, passes a statistic below _CHI2_THRESHOLD.
     """
     u = _validate_cdf_values(cdf_values, MIN_FIT_SAMPLES, "chi_square_gof")
     expected = u.size / N_BINS
     observed, _ = np.histogram(u, bins=N_BINS, range=(0.0, 1.0))
-    stat = float(np.sum((observed - expected) ** 2 / expected))
-    return ChiSquareResult(stat=stat, passed=stat < _CHI2_THRESHOLD)
+    return float(np.sum((observed - expected) ** 2 / expected))
 
 
 def ks_threshold(n):
@@ -224,13 +214,13 @@ def ks_threshold(n):
 
 
 def ks_gof(cdf_values):
-    """Kolmogorov sup-distance test at GOF_LEVEL against a fully specified cdf.
+    """Kolmogorov sup distance to a fully specified cdf, as a float.
 
-    cdf_values holds that cdf at each sample.
+    cdf_values holds that cdf at each sample.  The gate at GOF_LEVEL
+    passes a distance below ks_threshold(n) for n samples.
     """
     f = np.sort(_validate_cdf_values(cdf_values, 50, "ks_gof"))
     n = f.size
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
-    stat = float(max(np.max(grid_hi - f), np.max(f - grid_lo)))
-    return KsResult(stat=stat, passed=stat < ks_threshold(n))
+    return float(max(np.max(grid_hi - f), np.max(f - grid_lo)))

@@ -20,7 +20,6 @@ import logging
 import mmap
 import os
 import signal
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +44,6 @@ class MonteCarloAbort(RuntimeError):
         super().__init__(message)
         self.singular_trials = singular_trials
         self.trials = trials
-
-
-@dataclass(frozen=True)
-class EsrcResult:
-    """Monte Carlo mean sum rate and its standard error."""
-
-    esrc_mc: float
-    std_err: float
-
-    def __post_init__(self):
-        if not (self.esrc_mc >= 0.0 and np.isfinite(self.esrc_mc)):
-            raise ValueError(f"esrc_mc must be finite and >= 0, got {self.esrc_mc!r}")
-        if not (self.std_err >= 0.0 and np.isfinite(self.std_err)):
-            raise ValueError(f"std_err must be finite and >= 0, got {self.std_err!r}")
 
 
 def chunk_trials(n_r, n_t):
@@ -128,7 +113,9 @@ def zf_sinr(h, snr, out=None):
         exact = range(len(gram))
     for i in exact:
         inv_diag[i] = _checked_inverse_diagonal(gram[i : i + 1])
-    sinr = snr / inv_diag
+    # an overflow here is reported as the NumericalError below
+    with np.errstate(over="ignore"):
+        sinr = snr / inv_diag
     if np.any(np.isinf(sinr)):
         raise NumericalError("SINR overflows float64")
     if np.any(sinr == 0.0):
@@ -194,8 +181,9 @@ def _fork_range(run, chunks, counts, k):
 def monte_carlo_esrc(config):
     """Estimate the ergodic sum-rate capacity by independent channel draws.
 
-    Returns (EsrcResult, samples), samples being the per-trial SINRs, one
-    row per user and one column per trial.
+    Returns (esrc_mc, std_err, samples): the mean per-trial sum rate in
+    bits/s/Hz, its standard error (0.0 for one trial), and the per-trial
+    SINRs, one row per user and one column per trial.
     A trial the conditioning check rejects is redrawn from its own
     (seed, chunk, trial, attempt) stream, up to _MAX_RESAMPLES times; if
     more than SINGULAR_TRIAL_FRACTION of trials need a redraw, the run
@@ -316,4 +304,4 @@ def monte_carlo_esrc(config):
         std_err = float(np.std(rates, ddof=1) / np.sqrt(trials))
     else:
         std_err = 0.0
-    return EsrcResult(esrc_mc=esrc_mc, std_err=std_err), samples
+    return esrc_mc, std_err, samples

@@ -298,9 +298,7 @@ def scalar_log_scaled_gamma(nu, z):
 def _check_node(value, node, point):
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise LaplaceInversionError(
-            f"transform returned a non-finite value at node {node!r} (t={point!r})",
-            node=node,
-            point=point,
+            f"transform returned a non-finite value at node {node!r} (t={point!r})"
         )
     return value
 

@@ -71,7 +71,7 @@ def _system(snr_db, rho, l_band, m, seed, trials=TRIALS, omega=1.0):
 @lru_cache(maxsize=None)
 def _per_trial_rates(snr_db, rho, l_band, m, seed):
     """Sum rate of every trial; same seed means trial-paired channels."""
-    _, samples = monte_carlo_esrc(_system(snr_db, rho, l_band, m, seed))
+    *_, samples = monte_carlo_esrc(_system(snr_db, rho, l_band, m, seed))
     return np.log1p(samples).sum(axis=0) / LN2
 
 
@@ -135,7 +135,7 @@ def test_criterion_04_sinr_shape_claim():
         for rho in (0.0, 0.3, 0.5):
             for snr_db in (0.0, 10.0, 20.0):
                 seed += 1
-                _, samples = monte_carlo_esrc(_system(snr_db, rho, 7, m, seed))
+                *_, samples = monte_carlo_esrc(_system(snr_db, rho, 7, m, seed))
                 for row in samples:
                     fit = fit_gamma_ml(row)
                     a = 0.85 <= fit.alpha <= 1.15

@@ -12,6 +12,11 @@ from esrc.correlation import (
 )
 
 
+def min_eigenvalue(error):
+    """The smallest eigenvalue that a NotPositiveSemidefiniteError's message reports."""
+    return float(str(error).rsplit("min eigenvalue ", 1)[1])
+
+
 class TestCorrelationSpec:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -82,21 +87,21 @@ class TestPsdCheck:
     def test_tridiagonal_min_eigenvalue(self):
         # symmetric tridiagonal Toeplitz: eigenvalues 1 + 2*rho*cos(k*pi/(n+1)),
         # so shifting by the smallest one puts it at 0 (passes) or just
-        # below -PSD_TOL (reported as min_eig)
+        # below -PSD_TOL (reported in the message)
         r = build_banded_correlation(CorrelationSpec(n=8, rho=0.5, l_band=1))
         lo = 1.0 - np.cos(np.pi / 9.0)
         assert lo == pytest.approx(0.0603073792140917, abs=1e-13)
         matrix_sqrt(r - lo * np.eye(8))
         with pytest.raises(NotPositiveSemidefiniteError) as excinfo:
             matrix_sqrt(r - (lo + 1e-9) * np.eye(8))
-        assert excinfo.value.min_eig == pytest.approx(-1e-9, abs=1e-13)
+        assert min_eigenvalue(excinfo.value) == pytest.approx(-1e-9, abs=1e-13)
 
     def test_detects_indefinite(self):
         # aggressive truncation at large rho leaves the PSD cone
         r = build_banded_correlation(CorrelationSpec(n=8, rho=0.9, l_band=1))
         with pytest.raises(NotPositiveSemidefiniteError) as excinfo:
             matrix_sqrt(r)
-        assert excinfo.value.min_eig < -0.5
+        assert min_eigenvalue(excinfo.value) < -0.5
         assert isinstance(excinfo.value, ValueError)
 
     def test_tolerance_absorbs_roundoff(self):
@@ -181,5 +186,5 @@ class TestMatrixSqrt:
         r = build_banded_correlation(spec)
         with pytest.raises(NotPositiveSemidefiniteError) as excinfo:
             matrix_sqrt(r, spec=spec)
-        assert excinfo.value.min_eig < -0.5
+        assert min_eigenvalue(excinfo.value) < -0.5
         assert "CorrelationSpec" in str(excinfo.value)

@@ -470,10 +470,11 @@ class TestRunSweep:
         assert [row.status for row in rows] == ["failed", "ok"]
 
     def test_overflowing_omega_over_m_fails_naming_it(self, caplog):
-        plan = parse_config("n_t = 2\nn_r = 3\nm = 1e-308\nomega = 1e308\ntrials = 16\n")
-        (row,) = run_sweep(plan)
-        assert row.status == "failed"
-        assert "failed (NumericalError: omega/m overflows float64" in caplog.text
+        for m, omega, flow in (("1e-308", "1e308", "overflows"), ("1e308", "1e-308", "underflows")):
+            plan = parse_config(f"n_t = 2\nn_r = 3\nm = {m}\nomega = {omega}\ntrials = 16\n")
+            (row,) = run_sweep(plan)
+            assert row.status == "failed"
+            assert f"failed (NumericalError: omega/m {flow} float64" in caplog.text
 
     def test_full_fit_below_200_trials_raises_before_any_point(self, monkeypatch):
         def no_point_may_run(config):
@@ -721,7 +722,8 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(points) == 2
-        assert [row["status"] for row in csv.DictReader(out.open())] == ["ok", "ok"]
+        rows = csv.DictReader(out.read_text().splitlines())
+        assert [row["status"] for row in rows] == ["ok", "ok"]
         assert out.read_bytes() == clean.read_bytes()
 
     def test_indefinite_point_fails_alone(self, tmp_path):

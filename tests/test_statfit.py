@@ -143,16 +143,16 @@ class TestChiSquareGof:
         rng = np.random.default_rng(49)
         x = rng.exponential(scale=1.0, size=100_000)
         hi = float(np.max(x))
-        result = chi_square_gof(x / hi)
-        assert not result.passed
-        assert result.stat > 1800.0
+        stat = chi_square_gof(x / hi)
+        assert stat >= _CHI2_THRESHOLD
+        assert stat > 1800.0
 
     def test_perfect_bins_give_zero_stat(self):
         medians = -np.log(1.0 - (np.arange(20) + 0.5) / 20.0)
         x = np.repeat(medians, 10)
-        result = chi_square_gof(expon_cdf(1.0)(x))
-        assert result.stat == 0.0
-        assert result.passed
+        stat = chi_square_gof(expon_cdf(1.0)(x))
+        assert stat == 0.0
+        assert stat < _CHI2_THRESHOLD
 
     def test_rejects_small_sample(self):
         with pytest.raises(ValueError):
@@ -178,9 +178,9 @@ class TestKsGof:
     def test_quantile_construction(self):
         n = 1000
         x = -np.log(1.0 - (np.arange(1, n + 1) - 0.5) / n)
-        result = ks_gof(expon_cdf(1.0)(x))
-        assert result.stat == pytest.approx(0.5 / n, rel=1e-9)
-        assert result.passed
+        stat = ks_gof(expon_cdf(1.0)(x))
+        assert stat == pytest.approx(0.5 / n, rel=1e-9)
+        assert stat < ks_threshold(n)
 
     def test_threshold_constant(self):
         # c(0.05) = sqrt(-ln(0.025)/2) = 1.358...
@@ -193,16 +193,16 @@ class TestKsGof:
         reps = 200
         for _ in range(reps):
             x = rng.exponential(scale=1.0, size=100_000)
-            passes += ks_gof(expon_cdf(1.0)(x)).passed
+            passes += ks_gof(expon_cdf(1.0)(x)) < ks_threshold(x.size)
         assert 181 <= passes <= 199
 
     def test_wrong_scale_fails(self):
         rng = np.random.default_rng(51)
         x = rng.exponential(scale=1.0, size=100_000)
-        result = ks_gof(expon_cdf(2.0)(x))
-        assert not result.passed
+        stat = ks_gof(expon_cdf(2.0)(x))
+        assert stat >= ks_threshold(x.size)
         # sup distance between the two cdfs is 1/4 at t = 2 ln 2
-        assert result.stat == pytest.approx(0.25, abs=0.02)
+        assert stat == pytest.approx(0.25, abs=0.02)
 
     def test_rejects_small_sample(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ are checked here, so that deleting or moving a name they use fails a test.
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,6 +40,19 @@ def test_every_probe_hook_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_importing_the_cli_loads_every_module_the_probe_hooks(monkeypatch):
+    # the probe installs its tracer on the modules in sys.modules right after
+    # `import esrc.cli`, so one imported later would run untraced
+    probe = load_probe(monkeypatch)
+    modules = sorted({module for _, module, _ in probe.TRACE_POINTS} | {probe.TRANSFORM_FACTORY[1]})
+    code = f"import sys, esrc.cli; print([m for m in {modules!r} if m not in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def readme_imports():

@@ -28,7 +28,6 @@ from esrc.config import SystemConfig
 from esrc.correlation import CorrelationSpec, build_banded_correlation, matrix_sqrt
 from esrc.specfun import NumericalError
 from esrc.zf import (
-    EsrcResult,
     MonteCarloAbort,
     chunk_trials,
     monte_carlo_esrc,
@@ -177,12 +176,6 @@ class TestSumRate:
             sum_rate([1.0, 0.0])
 
 
-class TestEsrcResult:
-    def test_result_validation(self):
-        with pytest.raises(ValueError):
-            EsrcResult(esrc_mc=-1.0, std_err=0.1)
-
-
 class TestTrialRng:
     def test_streams_differ_across_trials(self):
         a = trial_rng(7, 0).standard_normal(8)
@@ -207,23 +200,23 @@ class TestMonteCarloEsrc:
         )
         target, _ = quad(lambda x: np.log2(1.0 + 10.0 * x) * np.exp(-x), 0.0, np.inf)
         assert target == pytest.approx(2.9065148084148045, abs=1e-9)
-        result, samples = monte_carlo_esrc(cfg)
-        assert abs(result.esrc_mc - target) < 3.0 * result.std_err
+        esrc_mc, std_err, samples = monte_carlo_esrc(cfg)
+        assert abs(esrc_mc - target) < 3.0 * std_err
         assert samples.shape == (1, 100_000)
 
     def test_deterministic_rerun(self):
         cfg = make_config(trials=2000)
-        r1, s1 = monte_carlo_esrc(cfg)
-        r2, s2 = monte_carlo_esrc(cfg)
-        assert r1.esrc_mc == r2.esrc_mc
-        assert r1.std_err == r2.std_err
+        mc1, err1, s1 = monte_carlo_esrc(cfg)
+        mc2, err2, s2 = monte_carlo_esrc(cfg)
+        assert mc1 == mc2
+        assert err1 == err2
         assert np.array_equal(s1, s2)
 
     def test_trial_prefix_stable(self):
         # chunks depend only on (seed, chunk) and their size on the
         # dimensions, so shorter runs are prefixes
-        _, s_long = monte_carlo_esrc(make_config(trials=300))
-        _, s_short = monte_carlo_esrc(make_config(trials=100))
+        *_, s_long = monte_carlo_esrc(make_config(trials=300))
+        *_, s_short = monte_carlo_esrc(make_config(trials=100))
         assert np.array_equal(s_long[:, :100], s_short)
 
     def test_correlation_lowers_capacity(self):
@@ -231,14 +224,14 @@ class TestMonteCarloEsrc:
         corr = make_config(
             correlation=CorrelationSpec(n=8, rho=0.5, l_band=7), trials=20_000, seed=11
         )
-        r_flat, _ = monte_carlo_esrc(flat)
-        r_corr, _ = monte_carlo_esrc(corr)
-        margin = 3.0 * np.hypot(r_flat.std_err, r_corr.std_err)
-        assert r_flat.esrc_mc > r_corr.esrc_mc + margin
+        mc_flat, err_flat, _ = monte_carlo_esrc(flat)
+        mc_corr, err_corr, _ = monte_carlo_esrc(corr)
+        margin = 3.0 * np.hypot(err_flat, err_corr)
+        assert mc_flat > mc_corr + margin
 
     def test_users_exchangeable_when_uncorrelated(self):
         cfg = make_config(trials=20_000, seed=13)
-        _, samples = monte_carlo_esrc(cfg)
+        *_, samples = monte_carlo_esrc(cfg)
         means = samples.mean(axis=1)
         errs = samples.std(axis=1, ddof=1) / np.sqrt(samples.shape[1])
         for i in range(8):
@@ -248,7 +241,7 @@ class TestMonteCarloEsrc:
 
     def test_all_samples_positive_finite(self):
         cfg = make_config(trials=2000, fading=FadingParams(m=0.7, omega=1.0))
-        _, samples = monte_carlo_esrc(cfg)
+        *_, samples = monte_carlo_esrc(cfg)
         assert np.all(samples > 0.0)
         assert np.all(np.isfinite(samples))
 
@@ -282,7 +275,7 @@ class TestMonteCarloEsrc:
     def test_one_singular_trial_is_redrawn_from_its_own_stream(self, monkeypatch):
         cfg = make_config(trials=1000, correlation=CorrelationSpec(n=8, rho=0.3, l_band=7))
         step = chunk_trials(8, 8)
-        _, clean = monte_carlo_esrc(cfg)
+        *_, clean = monte_carlo_esrc(cfg)
         real = esrc.zf.zf_sinr
         root = matrix_sqrt(build_banded_correlation(cfg.correlation))
         trial = 100
@@ -294,7 +287,7 @@ class TestMonteCarloEsrc:
             for chunk in (1, 3):
                 marks.clear()
                 marks[(chunk, 0, 0)] = [trial]
-                _, samples = monte_carlo_esrc(cfg)
+                *_, samples = monte_carlo_esrc(cfg)
                 column = chunk * step + trial
                 others = np.arange(cfg.trials) != column
                 assert np.array_equal(samples[:, others], clean[:, others])
@@ -313,7 +306,7 @@ class TestMonteCarloEsrc:
     def test_chunk_whose_cholesky_raises_runs_one_trial_at_a_time(self, monkeypatch):
         # 1000 trials allow one singular trial below the abort fraction
         cfg = make_config(trials=1000)
-        _, clean = monte_carlo_esrc(cfg)
+        *_, clean = monte_carlo_esrc(cfg)
         current = track_streams(monkeypatch)
         real = esrc.zf.compose_channel
         bad = 17
@@ -334,7 +327,7 @@ class TestMonteCarloEsrc:
         # chunk 0 is in the caller's range on both paths
         for workers in each_path(monkeypatch):
             grams.clear()
-            _, samples = monte_carlo_esrc(cfg)
+            *_, samples = monte_carlo_esrc(cfg)
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(grams[0])
             assert np.array_equal(samples[:, others], clean[:, others]), workers
@@ -373,16 +366,16 @@ class TestForkedRanges:
             trials=trials,
             seed=7,
         )
-        result, samples = self.run_with(monkeypatch, 1, cfg)
+        *result, samples = self.run_with(monkeypatch, 1, cfg)
         for workers in (2, 3):
-            split_result, split = self.run_with(monkeypatch, workers, cfg)
+            *split_result, split = self.run_with(monkeypatch, workers, cfg)
             # the mean and standard error are those of the same per-trial rates
             assert split_result == result, workers
             assert np.array_equal(split, samples), workers
 
     def test_a_worker_killed_by_a_signal_is_rerun_in_the_caller(self, monkeypatch, caplog):
         cfg = make_config(trials=1000)
-        result, samples = self.run_with(monkeypatch, 1, cfg)
+        *result, samples = self.run_with(monkeypatch, 1, cfg)
         current = track_streams(monkeypatch)
         real = esrc.zf.zf_sinr
         caller = os.getpid()
@@ -396,7 +389,7 @@ class TestForkedRanges:
 
         monkeypatch.setattr(esrc.zf, "zf_sinr", dying)
         with caplog.at_level(logging.WARNING, logger="esrc.zf"):
-            rerun_result, rerun = self.run_with(monkeypatch, 2, cfg)
+            *rerun_result, rerun = self.run_with(monkeypatch, 2, cfg)
         assert rerun_result == result
         assert np.array_equal(rerun, samples)
         assert f"killed by signal {signal.SIGKILL:d}" in caplog.text
@@ -681,7 +674,7 @@ class TestChunkedKernel:
                 trials=trials,
                 seed=99,
             )
-            return monte_carlo_esrc(cfg)[1]
+            return monte_carlo_esrc(cfg)[2]
 
         longest = run(2 * c + 3)
         for trials in (1, c - 1, c, c + 1):
@@ -719,10 +712,10 @@ class TestExactLawOracle:
         r = build_banded_correlation(spec)
         assume(np.linalg.eigvalsh(r)[0] > 1e-3)
         cfg = make_config(n_t=n, n_r=n, correlation=spec, trials=self.TRIALS, seed=self.SEED)
-        result, samples = monte_carlo_esrc(cfg)
+        esrc_mc, std_err, samples = monte_carlo_esrc(cfg)
         betas = cfg.snr_linear / np.diagonal(np.linalg.inv(r))
         exact = esrc_closed_form(BetaVector(betas))
-        assert abs(result.esrc_mc - exact) < 4.0 * result.std_err, (result, exact)
+        assert abs(esrc_mc - exact) < 4.0 * std_err, (esrc_mc, std_err, exact)
         for k in range(n):
             p = stats.kstest(samples[k] / betas[k], "expon").pvalue
             assert p > 0.01 / n, (k, p)

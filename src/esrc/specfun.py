@@ -220,15 +220,16 @@ def _anchor_series(s, x, c_one):
 def _lower_series(nu, z):
     """e^z z^{-nu} gamma(nu, z) = sum_n z^n / (nu (nu + 1) ... (nu + n)).
 
-    Elementwise on 1-d arrays of real or complex orders nu and positive
-    reals z that broadcast to one length.  The series contracts from the
-    first term on when |nu + n| >= 2(z + 1) along the real or the
+    Elementwise on real or complex orders nu and positive reals z, each a
+    scalar or a 1-d array, that broadcast to one length.  A scalar stays a
+    scalar, so each term costs no pass to expand it.  The series contracts
+    from the first term on when |nu + n| >= 2(z + 1) along the real or the
     imaginary direction, and for real nu > 0 from n > z - nu on.
     """
-    nu, z = np.broadcast_arrays(nu, z)
-    term = 1.0 / nu
+    nu, z = np.asarray(nu), np.asarray(z)
+    term = np.broadcast_to(1.0 / nu, np.broadcast_shapes(nu.shape, z.shape))
     total = term
-    out = np.empty_like(total)
+    out = np.empty(term.shape, dtype=np.result_type(term, z))
     active = np.arange(total.size)
     for n in range(1, _MAX_SERIES_ITER + 1, _BLOCK):
         if active.size == 0:
@@ -240,11 +241,12 @@ def _lower_series(nu, z):
         if done.any():
             out[active[done]] = total[done]
             keep = ~done
-            active, nu, z, term, total = (
-                active[keep], nu[keep], z[keep], term[keep], total[keep]
-            )
+            active, term, total = active[keep], term[keep], total[keep]
+            nu, z = (x[keep] if x.ndim else x for x in (nu, z))
     if active.size:
-        raise NumericalError(f"lower gamma series stalled (nu={nu[0]!r}, z={z[0]!r})")
+        raise NumericalError(
+            f"lower gamma series stalled (nu={nu.flat[0]!r}, z={z.flat[0]!r})"
+        )
     return out
 
 

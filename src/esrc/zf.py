@@ -33,6 +33,9 @@ _MAX_RESAMPLES = 64
 # channel entries per chunk; a chunk holds max(1, CHUNK_ENTRIES // (n_r n_t))
 # trials: 256 at 8x8, 8 at 64x32
 CHUNK_ENTRIES = 2**14
+# triangular blocks of fewer rows are inverted by forward substitution; of
+# 8, 12, 16 and 17, 16 was fastest or tied on chunks from 8x8 to 64x33
+_BLOCK_MIN = 16
 
 log = logging.getLogger(__name__)
 
@@ -51,13 +54,46 @@ def chunk_trials(n_r, n_t):
     return max(1, CHUNK_ENTRIES // (n_r * n_t))
 
 
+def _lower_inverse(lower):
+    """Inverse of a stack of lower-triangular matrices with positive real diagonals.
+
+    With L = [[A, 0], [C, D]], the inverse is [[A^{-1}, 0], [-D^{-1} C A^{-1},
+    D^{-1}]] (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992).  A, padded
+    with a unit diagonal entry when the order is odd, and D are inverted as
+    one stack of twice the length; a block of fewer than _BLOCK_MIN rows is
+    inverted row by row by forward substitution over the whole stack.
+    """
+    c, n = len(lower), lower.shape[-1]
+    inv = np.zeros_like(lower)
+    if n < _BLOCK_MIN:
+        recip = 1.0 / np.diagonal(lower, axis1=-2, axis2=-1).real
+        for i in range(n):
+            inv[:, i, i] = recip[:, i]
+            if i:
+                row = (lower[:, i : i + 1, :i] @ inv[:, :i, :i])[:, 0]
+                inv[:, i, :i] = row * -recip[:, i : i + 1]
+        return inv
+    h, m = n // 2, n - n // 2
+    halves = np.zeros((2 * c, m, m), dtype=lower.dtype)
+    halves[:c, :h, :h] = lower[:, :h, :h]
+    halves[:c, h:, h:] = 1.0
+    halves[c:] = lower[:, h:, h:]
+    halves = _lower_inverse(halves)
+    a_inv, d_inv = halves[:c, :h, :h], halves[c:]
+    inv[:, :h, :h] = a_inv
+    inv[:, h:, h:] = d_inv
+    inv[:, h:, :h] = -(d_inv @ (lower[:, h:, :h] @ a_inv))
+    return inv
+
+
 def _inverse_diagonal(gram):
     """diag(G^{-1}) of a stack of Hermitian positive definite matrices.
 
-    With G = L L*, this is the squared column norms of L^{-1}.  Raises
+    With G = L L*, this is the squared column norms of L^{-1}, which
+    _lower_inverse gives from the batched Cholesky factor.  Raises
     numpy.linalg.LinAlgError when a Cholesky factorisation fails.
     """
-    l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    l_inv = _lower_inverse(np.linalg.cholesky(gram))
     return np.sum(l_inv.real**2 + l_inv.imag**2, axis=-2)
 
 
@@ -83,8 +119,8 @@ def zf_sinr(h, snr, out=None):
     COND_LIMIT or more gets a NaN row, so that the caller can redraw it
     alone; a Gram matrix that overflows, or an SINR that overflows or
     underflows, raises NumericalError.  The stack is gated by the bound
-    cond(G) <= tr(G) tr(G^{-1}), whose factors the batched Cholesky inverse
-    already gives; only the trials it does not clear, or every trial of a
+    cond(G) <= tr(G) tr(G^{-1}), whose factors the inverted Cholesky factors
+    already give; only the trials it does not clear, or every trial of a
     stack whose batched Cholesky raises, take the exact per-trial eigvalsh
     check.
 
@@ -101,20 +137,21 @@ def zf_sinr(h, snr, out=None):
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr!r}")
     conj, gram = (None, None) if out is None else out
-    gram = np.matmul(np.conjugate(h, out=conj).swapaxes(-1, -2), h, out=gram)
-    if not np.all(np.isfinite(gram)):
-        raise NumericalError("Gram matrix H*H overflows float64")
-    try:
-        inv_diag = _inverse_diagonal(gram)
-        bound = np.trace(gram, axis1=-2, axis2=-1).real * inv_diag.sum(axis=-1)
-        exact = np.flatnonzero(~(bound < COND_LIMIT))
-    except np.linalg.LinAlgError:
-        inv_diag = np.empty(gram.shape[:-1])
-        exact = range(len(gram))
-    for i in exact:
-        inv_diag[i] = _checked_inverse_diagonal(gram[i : i + 1])
-    # an overflow here is reported as the NumericalError below
-    with np.errstate(over="ignore"):
+    # an overflow in the Gram product (where inf - inf gives NaN), the bound
+    # or the SINR is reported as one of the NumericalErrors below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(np.conjugate(h, out=conj).swapaxes(-1, -2), h, out=gram)
+        if not np.all(np.isfinite(gram)):
+            raise NumericalError("Gram matrix H*H overflows float64")
+        try:
+            inv_diag = _inverse_diagonal(gram)
+            bound = np.trace(gram, axis1=-2, axis2=-1).real * inv_diag.sum(axis=-1)
+            exact = np.flatnonzero(~(bound < COND_LIMIT))
+        except np.linalg.LinAlgError:
+            inv_diag = np.empty(gram.shape[:-1])
+            exact = range(len(gram))
+        for i in exact:
+            inv_diag[i] = _checked_inverse_diagonal(gram[i : i + 1])
         sinr = snr / inv_diag
     if np.any(np.isinf(sinr)):
         raise NumericalError("SINR overflows float64")
@@ -213,13 +250,18 @@ def monte_carlo_esrc(config):
 
     def draw(rng, count):
         gamma, uniform, boost = work[:, :count]
-        h_w = sample_channel_matrix(
-            n_r, n_t, config.fading, rng, trials=count, out=(gamma, uniform, boost)
-        )
         # each buffer is taken over once its last reader is done with it:
         # the channel goes where the uniforms were, H* where the boost was
-        # and the Gram matrices where h_w was
-        h = compose_channel(h_w, sqrt_sigma, config.mode, out=uniform.view(np.complex128)[..., 0])
+        # and the Gram matrices where h_w was.  A fading power near the
+        # float limit gives inf or NaN entries, which zf_sinr reports as a
+        # Gram matrix overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_w = sample_channel_matrix(
+                n_r, n_t, config.fading, rng, trials=count, out=(gamma, uniform, boost)
+            )
+            h = compose_channel(
+                h_w, sqrt_sigma, config.mode, out=uniform.view(np.complex128)[..., 0]
+            )
         conj = boost.view(np.complex128)[..., 0]
         gram = gamma.reshape(-1).view(np.complex128)[: count * n_t * n_t]
         return zf_sinr(h, snr, out=(conj, gram.reshape(count, n_t, n_t)))

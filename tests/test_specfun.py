@@ -6,6 +6,7 @@ never call the code under test) and then pinned as literals.
 """
 
 import cmath
+import hashlib
 import math
 import re
 
@@ -26,6 +27,7 @@ from esrc.specfun import (
     _gamma_cdf,
     _log_scaled_gamma,
     _loggamma,
+    _lower_series,
     invert_laplace,
 )
 from oracles import (
@@ -419,3 +421,29 @@ def test_loggamma_matches_scipy(re, im):
 )
 def test_gamma_cdf_matches_scipy(a, x):
     assert abs(_gamma_cdf(a, np.array([x]))[0] - special.gammainc(a, x)) <= 1e-13
+
+
+def test_lower_series_and_gamma_cdf_keep_their_bits():
+    # a scalar order or argument is not expanded to the sample's length; the
+    # sums must not change by one bit, against the expanded call and against
+    # digests pinned from the expanding implementation
+    def digest(values):
+        return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+    rng = np.random.default_rng(2024)
+    x = rng.gamma(25.0, size=2500)
+    assert np.all(x < 25.0 + 1.0 + 8.0 * math.sqrt(26.0))
+    nu = rng.uniform(-3.0, 3.0, 64) + 1j * rng.uniform(-30.0, 30.0, 64)
+    y = rng.gamma(2.5, size=2500)
+    series = _lower_series(25.0, x)
+    kummer = _lower_series(nu, 0.9)
+    assert np.array_equal(series, _lower_series(np.full(x.size, 25.0), x))
+    assert np.array_equal(kummer, _lower_series(nu, np.full(nu.size, 0.9)))
+    assert digest(series) == "701e19c4e94d28b16662a35ce61af01a0f30c96c0e4d19aee5cbfacbf088981f"
+    assert digest(kummer) == "56103419fd9fb3da2053d2d3a7f3eb925199b9f6e7891f81d4ea9c945d285dd0"
+    assert digest(_gamma_cdf(25.0, x)) == (
+        "2d8faf374842ddc81434a2dc542d16b020631b4675cf35ea86d383ffbec4438c"
+    )
+    assert digest(_gamma_cdf(2.5, y)) == (
+        "1a8a2b639fe31a6bb1e38df06d8be196956af11e366f881b6f57095f26171371"
+    )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
@@ -548,6 +548,32 @@ class TestChunkedKernel:
             assert stack[i] == pytest.approx(exact, rel=1e-9, nan_ok=True)
             assert zf_sinr(h[i : i + 1], 2.5)[0] == pytest.approx(exact, rel=1e-9, nan_ok=True)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        # orders 1 to 64 with up to four times the trials of a chunk at that order
+        dims=st.integers(min_value=1, max_value=64).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, min(300, 2**16 // n**2)))
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(dims=(1, 300), seed=1)
+    @example(dims=(7, 300), seed=7)
+    @example(dims=(9, 300), seed=9)
+    @example(dims=(33, 60), seed=33)
+    @example(dims=(64, 16), seed=64)
+    @example(dims=(64, 1), seed=65)
+    def test_triangular_inverse_matches_the_general_inverse(self, dims, seed):
+        n, count = dims
+        rng = np.random.default_rng(seed)
+        # twice as many rows as columns keeps the Gram matrices well conditioned
+        shape = (count, 2 * n + 4, n)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        gram = h.conj().swapaxes(-1, -2) @ h
+        oracle = np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1).real
+        assert esrc.zf._inverse_diagonal(gram) == pytest.approx(oracle, rel=1e-12)
+        l_inv = esrc.zf._lower_inverse(np.linalg.cholesky(gram))
+        assert not np.triu(l_inv, 1).any()
+
     @pytest.mark.parametrize("n_r, n_t", [(64, 32), (40, 33), (24, 17)])
     def test_many_users_match_direct_inverse(self, n_r, n_t):
         # the squared column norms of the inverted Cholesky factor at many users
@@ -558,7 +584,6 @@ class TestChunkedKernel:
         assert zf_sinr(h, 2.0) == pytest.approx(oracle, rel=1e-9)
         assert zf_sinr(h[1:2], 2.0) == pytest.approx(oracle[1:2], rel=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_gram_raises_numerical_error(self):
         h = np.full((2, 4, 4), 1e155 + 0j)
         with pytest.raises(NumericalError, match="overflow"):
@@ -574,19 +599,32 @@ class TestChunkedKernel:
         with pytest.raises(NumericalError, match="underflow"):
             zf_sinr(0.5 * np.eye(4)[None], 5e-324)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fading_power_near_the_float_limit_is_reported_as_overflow(self):
         for omega in (1e307, 1e308):
             cfg = make_config(trials=20, fading=FadingParams(m=1.0, omega=omega))
             with pytest.raises(NumericalError, match="overflow"):
                 monte_carlo_esrc(cfg)
 
-    def test_stack_with_a_singular_trial_keeps_the_other_rows(self):
+    def test_stack_with_a_singular_trial_keeps_the_other_rows(self, monkeypatch):
         rng = np.random.default_rng(5)
         h = rng.standard_normal((6, 5, 4)) + 1j * rng.standard_normal((6, 5, 4))
+        real = esrc.zf._checked_inverse_diagonal
+        checked = []
+
+        def counted(gram):
+            checked.append(gram.copy())
+            return real(gram)
+
+        monkeypatch.setattr(esrc.zf, "_checked_inverse_diagonal", counted)
         batched = zf_sinr(h, 3.0)
+        assert not checked
         h[2, :, 1] = 0.0
+        gram = h.conj().swapaxes(-1, -2) @ h
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
         sinr = zf_sinr(h, 3.0)
+        # the batched Cholesky raises, so every trial takes the exact check
+        assert np.array_equal(np.concatenate(checked), gram)
         assert np.all(np.isnan(sinr[2]))
         keep = [0, 1, 3, 4, 5]
         assert np.array_equal(sinr[keep], batched[keep])

@@ -54,7 +54,7 @@ class SemiCorrelationMode:
         return n_t if self.side == "transmit" else n_r
 
 
-def sample_nakagami_component(params, rng, size, out=None):
+def sample_nakagami_component(params, rng, size):
     """Draw h = sign(V) sqrt(G |V|^(2/m) omega/m), G ~ Gamma(m/2 + 1), V ~ U(-1, 1).
 
     h^2 ~ Gamma(m/2, omega/m), so E[h] = 0 and E[h^2] = omega/2 for every
@@ -63,12 +63,8 @@ def sample_nakagami_component(params, rng, size, out=None):
     has spawned, not on how many values rng has drawn.  Each is filled in C
     order, so the first k values of either do not depend on how many are
     drawn and a smaller draw is a prefix of a larger one.  rng's bit
-    generator must be seeded from a SeedSequence (TypeError otherwise).
-
-    out, if given, is three C-contiguous float64 arrays of shape size that
-    the draw overwrites in place of allocating its own; the result is the
-    first of them.  An omega/m that overflows or underflows float64 raises
-    NumericalError.
+    generator must be seeded from a SeedSequence (TypeError otherwise).  An
+    omega/m that overflows or underflows float64 raises NumericalError.
     """
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
@@ -85,14 +81,13 @@ def sample_nakagami_component(params, rng, size, out=None):
         raise NumericalError(
             f"omega/m {flow} float64 (omega={params.omega!r}, m={params.m!r})"
         )
-    g, v, boost = (np.empty(size) for _ in range(3)) if out is None else out
     a = 0.5 * params.m
-    rng.standard_gamma(a + 1.0, out=g)
+    g = rng.standard_gamma(a + 1.0, size=size)
     # -1 + 2u from the same doubles as uniform(-1, 1), bit for bit
-    uniform.random(out=v)
+    v = uniform.random(size)
     v *= 2.0
     v -= 1.0
-    np.abs(v, out=boost)
+    boost = np.abs(v)
     np.power(boost, 1.0 / a, out=boost)
     boost *= scale
     g *= boost
@@ -101,27 +96,24 @@ def sample_nakagami_component(params, rng, size, out=None):
     return g
 
 
-def sample_channel_matrix(n_r, n_t, params, rng, trials, out=None):
+def sample_channel_matrix(n_r, n_t, params, rng, trials):
     """A stack of trials n_r x n_t complex matrices with i.i.d. entries h_I + j h_Q.
 
     Each entry has E[|h|^2] = omega.  The stack has shape (trials, n_r, n_t)
     and is trial-major, so the first k trials of a stack are the stack of k
     trials.  Both quadratures come from one component draw of shape
-    (trials, n_r, n_t, 2), which views as complex128 without a copy; out, if
-    given, is the component draw's three buffers (see
-    sample_nakagami_component), and the result is a view of the first.
+    (trials, n_r, n_t, 2), which views as complex128 without a copy.
     """
     if int(n_r) != n_r or n_r < 1 or int(n_t) != n_t or n_t < 1:
         raise ValueError(f"dimensions must be positive integers, got {n_r!r} x {n_t!r}")
-    parts = sample_nakagami_component(params, rng, (trials, n_r, n_t, 2), out=out)
+    parts = sample_nakagami_component(params, rng, (trials, n_r, n_t, 2))
     return parts.view(np.complex128)[..., 0]
 
 
-def compose_channel(h_w, sqrt_sigma, mode, out=None):
+def compose_channel(h_w, sqrt_sigma, mode):
     """Apply the one-sided correlation root: S @ H_w (receive) or H_w @ S (transmit).
 
-    h_w may be one n_r x n_t matrix or a stack of them.  out, if given, is a
-    C-contiguous complex128 array of h_w's shape that receives the product.
+    h_w may be one n_r x n_t matrix or a stack of them.
     """
     h_w = np.asarray(h_w)
     sqrt_sigma = np.asarray(sqrt_sigma)
@@ -134,12 +126,10 @@ def compose_channel(h_w, sqrt_sigma, mode, out=None):
         )
     if mode.side == "transmit":
         # one product over the rows of every trial
-        rows = None if out is None else out.reshape(-1, n_t)
-        return np.matmul(h_w.reshape(-1, n_t), sqrt_sigma, out=rows).reshape(h_w.shape)
+        return np.matmul(h_w.reshape(-1, n_t), sqrt_sigma).reshape(h_w.shape)
     if h_w.dtype == np.complex128 and np.isrealobj(sqrt_sigma):
         # a real root mixes rows only, so it multiplies the real and
         # imaginary parts as one float array, half the work of a complex product
         parts = np.ascontiguousarray(h_w).view(np.float64)
-        parts_out = None if out is None else out.view(np.float64)
-        return np.matmul(sqrt_sigma, parts, out=parts_out).view(np.complex128)
-    return np.matmul(sqrt_sigma, h_w, out=out)
+        return np.matmul(sqrt_sigma, parts).view(np.complex128)
+    return np.matmul(sqrt_sigma, h_w)

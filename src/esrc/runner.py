@@ -113,16 +113,15 @@ def _axis_values(name, tokens, reference, extended, lineno=None):
 
 
 class Preset(NamedTuple):
-    """A figure grid: its swept axes, its base defaults, the user sections it keeps.
+    """A figure grid: its swept axes and its base defaults.
 
     An axis entry is a value list, or a function of the full band n - 1 for
-    axes that follow the antenna count.  The preset owns every axis except
-    those in keeps; user sections for any other axis are superseded.
+    axes that follow the antenna count.  User sections are kept only for
+    the axes a preset neither sweeps nor sets; the others are superseded.
     """
 
     axes: Dict[str, object]
     base: Dict[str, object]
-    keeps: Tuple[str, ...] = ("omega",)
 
 
 PRESETS = {
@@ -140,8 +139,7 @@ PRESETS = {
     ),
 }
 PRESET_NAMES = tuple(PRESETS)
-# without a preset every [sweep.*] section is kept
-_NO_PRESET = Preset(axes={}, base={}, keeps=AXIS_ORDER)
+_NO_PRESET = Preset(axes={}, base={})
 _BASE_DEFAULTS = {"snr_db": 10.0, "rho": 0.0, "l_band": "full", "m": 1.0, "omega": 1.0}
 
 
@@ -224,9 +222,10 @@ def point_seed(master_seed: int, point: Dict[str, float]) -> int:
 
 
 def _point_label(point):
-    return (
-        f"snr_db={point['snr_db']:g} rho={point['rho']:g} "
-        f"l_band={point['l_band']} m={point['m']:g} omega={point['omega']:g}"
+    # l_band is an integer and prints in full
+    return " ".join(
+        f"{name}={point[name]}" if name == "l_band" else f"{name}={point[name]:g}"
+        for name in AXIS_ORDER
     )
 
 
@@ -417,7 +416,7 @@ def parse_config(
         tokens = values(n_side - 1) if callable(values) else values
         axes.append((name, _axis_values(name, tokens, reference, allow_extended)))
     for name, (lineno, tokens) in sections.items():
-        if name in recipe.keeps:
+        if name not in recipe.axes and name not in recipe.base:
             axes.append((name, _axis_values(name, tokens, reference, allow_extended, lineno)))
     plan_base = _config_for_point(reference, base, reference.seed)
     return SweepPlan(base=plan_base, axes=tuple(axes))

@@ -350,7 +350,8 @@ def _gamma_cdf(a, x):
     else:
         log_norm = a * math.log(a) - a - math.lgamma(a)
     t = (x - a) / a
-    log_ratio = np.where(t < -0.5, np.log(x / a), np.log1p(t))
+    # log1p sees t >= -0.5 only: below x = a 2^-53, t rounds to -1
+    log_ratio = np.where(t < -0.5, np.log(x / a), np.log1p(np.maximum(t, -0.5)))
     log_factor = a * (log_ratio - t) + log_norm
     p = np.empty_like(x)
     low = x < a + 1.0 + 8.0 * math.sqrt(a + 1.0)

@@ -111,7 +111,7 @@ def _checked_inverse_diagonal(gram):
     return np.full(gram.shape[-1], np.nan)
 
 
-def zf_sinr(h, snr, out=None):
+def zf_sinr(h, snr):
     """Per-stream SINR snr / [(H*H)^{-1}]_{kk} of a stack of channels.
 
     h has shape (c, n_r, n_t), a redraw being a stack of one, and the result
@@ -123,10 +123,6 @@ def zf_sinr(h, snr, out=None):
     already give; only the trials it does not clear, or every trial of a
     stack whose batched Cholesky raises, take the exact per-trial eigvalsh
     check.
-
-    out, if given, is two C-contiguous complex128 buffers that receive H*
-    (h's shape) and the Gram matrix H*H (shape (c, n_t, n_t)) in place of
-    allocating them.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3:
@@ -136,11 +132,10 @@ def zf_sinr(h, snr, out=None):
         raise ValueError(f"zero-forcing needs n_r >= n_t, got {n_r}x{n_t}")
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr!r}")
-    conj, gram = (None, None) if out is None else out
     # an overflow in the Gram product (where inf - inf gives NaN), the bound
     # or the SINR is reported as one of the NumericalErrors below
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.matmul(np.conjugate(h, out=conj).swapaxes(-1, -2), h, out=gram)
+        gram = np.matmul(np.conjugate(h).swapaxes(-1, -2), h)
         if not np.all(np.isfinite(gram)):
             raise NumericalError("Gram matrix H*H overflows float64")
         try:
@@ -243,28 +238,19 @@ def monte_carlo_esrc(config):
 
     n_r, n_t = config.n_r, config.n_t
     step = chunk_trials(n_r, n_t)
-    # One workspace for every chunk and redraw, allocated before the fork.
-    # Arrays allocated and freed per chunk made glibc return the heap's top
-    # pages to the kernel and fault them in again on the next chunk.
-    work = np.empty((3, step, n_r, n_t, 2))
+    # glibc maps an allocation above its mmap threshold afresh, faulting it in
+    # page by page, and raises the threshold to the largest mapped block freed
+    # (mallopt(3), M_MMAP_THRESHOLD).  One untouched block, 16 times a chunk's
+    # channel stack, freed before the fork keeps the chunk arrays on the heap.
+    np.empty(16 * CHUNK_ENTRIES, dtype=np.complex128)
 
     def draw(rng, count):
-        gamma, uniform, boost = work[:, :count]
-        # each buffer is taken over once its last reader is done with it:
-        # the channel goes where the uniforms were, H* where the boost was
-        # and the Gram matrices where h_w was.  A fading power near the
-        # float limit gives inf or NaN entries, which zf_sinr reports as a
-        # Gram matrix overflow.
+        # a fading power near the float limit gives inf or NaN entries,
+        # which zf_sinr reports as a Gram matrix overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            h_w = sample_channel_matrix(
-                n_r, n_t, config.fading, rng, trials=count, out=(gamma, uniform, boost)
-            )
-            h = compose_channel(
-                h_w, sqrt_sigma, config.mode, out=uniform.view(np.complex128)[..., 0]
-            )
-        conj = boost.view(np.complex128)[..., 0]
-        gram = gamma.reshape(-1).view(np.complex128)[: count * n_t * n_t]
-        return zf_sinr(h, snr, out=(conj, gram.reshape(count, n_t, n_t)))
+            h_w = sample_channel_matrix(n_r, n_t, config.fading, rng, trials=count)
+            h = compose_channel(h_w, sqrt_sigma, config.mode)
+        return zf_sinr(h, snr)
 
     chunk_count = -(-trials // step)
     workers = min(_cpu_count(), chunk_count)

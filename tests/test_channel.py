@@ -183,6 +183,17 @@ class TestSampleChannelMatrix:
         b = sample_channel_matrix(8, 8, params, np.random.default_rng(9), trials=3)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("m", [0.7, 2.5])
+    def test_chunk_draws_match_the_reference_component(self, m):
+        # at 64x32 a chunk is 8 trials, so 2500 trials end in a chunk of 4:
+        # a full chunk, the short last chunk and a redraw
+        params = FadingParams(m=m, omega=1.2)
+        assert chunk_trials(64, 32) == 8 and 312 * 8 + 4 == 2500
+        for key, count in [((0,), 8), ((312,), 4), ((312, 2, 1), 1)]:
+            h = sample_channel_matrix(64, 32, params, trial_rng(7, *key), trials=count)
+            reference = reference_component(params, trial_rng(7, *key), (count, 64, 32, 2))
+            assert np.array_equal(h, reference.view(np.complex128)[..., 0]), key
+
 
 class TestComposeChannel:
     def test_identity_root_is_noop(self):
@@ -247,37 +258,3 @@ class TestComposeChannel:
             h = compose_channel(sample_channel_matrix(4, 4, params, rng, trials=n_mat), root, mode)
             total = np.sum(np.abs(h) ** 2)
             assert total / n_mat == pytest.approx(16.0, rel=0.01), side
-
-
-class TestWorkspace:
-    """Draws and products written into caller buffers are those of the allocating calls."""
-
-    # at 64x32 a chunk is 8 trials, so 2500 trials end in a chunk of 4
-    DRAWS = [((0,), 8), ((312,), 4), ((312, 2, 1), 1)]
-
-    @pytest.mark.parametrize("m", [0.7, 2.5])
-    def test_buffered_draws_match_allocating_draws(self, m):
-        params = FadingParams(m=m, omega=1.2)
-        assert chunk_trials(64, 32) == 8 and 312 * 8 + 4 == 2500
-        work = np.full((3, 8, 64, 32, 2), np.nan)
-        # one workspace serves a full chunk, the short last chunk and a redraw in turn
-        for key, count in self.DRAWS:
-            out = tuple(work[:, :count])
-            h = sample_channel_matrix(64, 32, params, trial_rng(7, *key), trials=count, out=out)
-            assert np.shares_memory(h, work[0])
-            expected = sample_channel_matrix(64, 32, params, trial_rng(7, *key), trials=count)
-            assert np.array_equal(h, expected), key
-            reference = reference_component(params, trial_rng(7, *key), (count, 64, 32, 2))
-            assert np.array_equal(h, reference.view(np.complex128)[..., 0]), key
-
-    @pytest.mark.parametrize("side, n", [("receive", 64), ("transmit", 32)])
-    def test_buffered_compose_matches_allocating_compose(self, side, n):
-        params = FadingParams(m=0.7, omega=1.0)
-        root = matrix_sqrt(build_banded_correlation(CorrelationSpec(n=n, rho=0.3, l_band=n - 1)))
-        mode = SemiCorrelationMode(side)
-        out = np.full((8, 64, 32), np.nan, dtype=complex)
-        for key, count in self.DRAWS:
-            h_w = sample_channel_matrix(64, 32, params, trial_rng(7, *key), trials=count)
-            h = compose_channel(h_w, root, mode, out=out[:count])
-            assert np.shares_memory(h, out)
-            assert np.array_equal(h, compose_channel(h_w, root, mode)), key

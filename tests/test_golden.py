@@ -88,3 +88,20 @@ def test_wide_full_fit_csv_bytes(tmp_path):
     )
     digest = "62e490a028d9d5a1811b4edd416f0757dbcc86677b9f1d3756c352e4c84d8e7f"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("run", "a47491013132ae525e298f9a21941c111804c68d604e20e897c9e97ea2c3e94a"),
+        ("pdf", "80e341a728330697d799ccf11f290c7838e509b7fe4464a989da05585b7448c4"),
+    ],
+)
+def test_help_bytes(monkeypatch, capsys, command, digest):
+    # argparse wraps to the COLUMNS width, and its layout differs between
+    # Python versions; these digests are of Python 3.11's output
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

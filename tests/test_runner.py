@@ -100,10 +100,15 @@ class TestParseConfig:
             "values = 3, 4\n"
             "[sweep.omega]\n"
             "values = 0.8, 1.0, 1.2\n"
+            "[sweep.rho]\n"
+            "values = 0.1, 0.2\n"
         )
         plan = parse_config(doc)
         assert dict(plan.axes)["snr_db"] == tuple(float(v) for v in range(21))
         assert dict(plan.axes)["omega"] == (0.8, 1.0, 1.2)
+        # fig1 sets rho without sweeping it, so the rho section is superseded too
+        assert "rho" not in dict(plan.axes)
+        assert plan.base.correlation.rho == 0.3
 
     def test_explicit_scalar_beats_preset_default(self):
         plan = parse_config("preset = fig1\nrho = 0.1\n")
@@ -448,7 +453,8 @@ class TestRunSweep:
         monkeypatch.setattr(runner_mod, "monte_carlo_esrc", flaky)
         rows = run_sweep(tiny_plan("[sweep.snr_db]\nvalues = 0, 10, 20\n"))
         assert [row.status for row in rows] == ["ok", "failed", "ok"]
-        assert f"failed ({type(error).__name__}: {error})" in caplog.text
+        label = "snr_db=10 rho=0 l_band=1 m=1 omega=1"
+        assert f"{label}: failed ({type(error).__name__}: {error})" in caplog.text
         failed = rows[1]
         assert failed.esrc_mc is None and failed.esrc_analytic is None
         assert failed.rel_err is None and failed.alpha_mean is None
@@ -712,10 +718,10 @@ class TestCli:
             points.append(config)
             return real_point(config)
 
-        def dying(h, snr, out=None):
+        def dying(h, snr):
             if len(points) == 2 and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real_sinr(h, snr, out=out)
+            return real_sinr(h, snr)
 
         monkeypatch.setattr(runner_mod, "monte_carlo_esrc", counted)
         monkeypatch.setattr(esrc.zf, "zf_sinr", dying)

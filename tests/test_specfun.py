@@ -13,7 +13,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
@@ -419,6 +419,8 @@ def test_loggamma_matches_scipy(re, im):
     a=st.floats(min_value=0.1, max_value=200.0),
     x=st.floats(min_value=1e-6, max_value=1e4),
 )
+# x < a 2^-53, where (x - a)/a rounds to -1
+@example(a=0.35, x=1e-18)
 def test_gamma_cdf_matches_scipy(a, x):
     assert abs(_gamma_cdf(a, np.array([x]))[0] - special.gammainc(a, x)) <= 1e-13
 

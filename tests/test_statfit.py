@@ -86,6 +86,15 @@ class TestFitGammaMl:
         fit = fit_gamma_ml(x)
         assert fit.alpha * fit.beta == pytest.approx(fit_exponential(x), rel=1e-12)
 
+    def test_small_shape_with_a_sample_below_float_resolution(self):
+        # the smallest draw, over the fitted scale, lies below alpha 2^-53,
+        # where the gamma CDF's (x - a)/a rounds to -1
+        x = np.random.default_rng(5).gamma(0.35, size=2500)
+        fit = fit_gamma_ml(x)
+        assert x.min() / fit.beta < fit.alpha * 2.0**-53
+        assert fit.alpha == pytest.approx(0.35, abs=0.03)
+        assert fit.chi2_pass and fit.ks_pass
+
     def test_degenerate_sample_raises(self):
         with pytest.raises(FitConvergenceError, match="degenerate"):
             fit_gamma_ml(np.full(1000, 3.0))

@@ -52,7 +52,11 @@ class BetaVector:
             raise ValueError(f"betas must be a non-empty 1-d vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr) & (arr > 0.0)):
             raise ValueError("every beta must be positive and finite")
-        object.__setattr__(self, "betas", tuple(float(v) for v in arr))
+        betas = tuple(float(v) for v in arr)
+        # every capacity term is taken at z = 1/beta, which overflows below 5.6e-309
+        if math.isinf(1.0 / min(betas)):
+            raise NumericalError(f"1/beta overflows float64 for beta={min(betas)!r}")
+        object.__setattr__(self, "betas", betas)
 
     @property
     def n_users(self):
@@ -62,9 +66,6 @@ class BetaVector:
 def esrc_closed_form(b):
     """Mean sum capacity sum_k e^{1/beta_k} E_1(1/beta_k) / ln 2, in bits/s/Hz."""
     z = [1.0 / beta for beta in b.betas]
-    for beta, zk in zip(b.betas, z):
-        if math.isinf(zk):
-            raise NumericalError(f"capacity term failed for beta={beta!r}")
     total = 0.0
     for beta, log_term in zip(b.betas, _log_scaled_gamma(0.0, z)):
         term = math.exp(log_term.real)
@@ -97,20 +98,25 @@ def _density_transform(b):
     return transform
 
 
-def default_capacity_grid(b, points=512):
-    """Positive, ascending grid covering all but ~1e-6 of the capacity mass.
+def default_capacity_grid(b, points=512, grid_max=None):
+    """`points` capacities evenly spaced in (0, top], ascending, top included.
 
-    Starts from N*log2(1 + 10*max beta) and extends until the union-bound
-    tail sum_k exp(-(2^{t/N} - 1)/beta_k) drops below the target, capped
-    at GRID_MAX_BITS.
+    top is grid_max, in (0, GRID_MAX_BITS], when given.  Otherwise it starts
+    from N*log2(1 + 10*max beta) and grows until the union-bound tail
+    sum_k exp(-(2^{t/N} - 1)/beta_k) drops below 1e-6, capped at GRID_MAX_BITS.
     """
     if int(points) != points or points < 8:
         raise ValueError(f"points must be an integer >= 8, got {points!r}")
+    if grid_max is not None:
+        if not 0.0 < grid_max <= GRID_MAX_BITS:
+            raise ValueError(f"grid_max out of range (0, {GRID_MAX_BITS:g}], got {grid_max!r}")
+        return np.linspace(0.0, grid_max, int(points) + 1)[1:]
     n = b.n_users
     betas = np.array(b.betas)
 
     def tail(t):
-        return float(np.sum(np.exp(-np.expm1(LN2 * t / n) / betas)))
+        with np.errstate(over="ignore"):  # an exponent that overflows gives the exact 0
+            return float(np.sum(np.exp(-np.expm1(LN2 * t / n) / betas)))
 
     upper = n * np.log2(1.0 + 10.0 * float(np.max(betas)))
     # below about 1e-17 the start rounds to 0, which no growth factor moves
@@ -142,13 +148,15 @@ def capacity_pdf(b, grid):
         )
     # the sum capacity exceeds each user's, so the mass below GRID_MAX_BITS
     # is at most the largest-beta user's; past about 1.8e25 that is below
-    # _TAIL_MASS and the inverted density is round-off
+    # _TAIL_MASS and the inverted density is round-off.  A ratio that
+    # overflows gives the exact limit, mass 1
     beta_max = max(b.betas)
-    if -np.expm1(-np.expm1(LN2 * GRID_MAX_BITS) / beta_max) < _TAIL_MASS:
-        raise ValueError(
-            f"betas up to {beta_max:.3g} leave less than {_TAIL_MASS:g} of the "
-            f"capacity mass below the supported {GRID_MAX_BITS:.0f} bits"
-        )
+    with np.errstate(over="ignore"):
+        if -np.expm1(-np.expm1(LN2 * GRID_MAX_BITS) / beta_max) < _TAIL_MASS:
+            raise ValueError(
+                f"betas up to {beta_max:.3g} leave less than {_TAIL_MASS:g} of the "
+                f"capacity mass below the supported {GRID_MAX_BITS:.0f} bits"
+            )
     transform = _density_transform(b)
     block = max(1, _PAIRS_PER_CALL // (EULER_NODES * b.n_users))
     return np.concatenate(

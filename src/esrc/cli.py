@@ -7,17 +7,8 @@ import logging
 import os
 import sys
 
-import numpy as np
-
-from esrc.analytic import GRID_MAX_BITS, BetaVector, capacity_pdf, default_capacity_grid
-from esrc.runner import (
-    PRESET_NAMES,
-    ConfigError,
-    emit_csv,
-    parse_config,
-    render_csv,
-    run_sweep,
-)
+from esrc.analytic import BetaVector, capacity_pdf, default_capacity_grid
+from esrc.runner import PRESET_NAMES, ConfigError, emit_csv, parse_config, run_sweep, write_text
 
 
 def _build_parser():
@@ -81,14 +72,6 @@ def _parse_betas(raw):
     return values
 
 
-def _write_text(text, destination):
-    if destination is None:
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-
-
 def _cmd_run(args):
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -107,30 +90,18 @@ def _cmd_run(args):
         if not existed:
             os.remove(args.out)
     rows = run_sweep(plan, full_fit=args.full_fit)
-    if args.out is None:
-        sys.stdout.write(render_csv(rows))
-    else:
-        emit_csv(rows, args.out)
+    emit_csv(rows, args.out)
     return 0 if all(row.status == "ok" for row in rows) else 1
 
 
 def _cmd_pdf(args):
     betas = BetaVector(_parse_betas(args.betas))
-    if args.points < 8:
-        raise ConfigError(f"--points out of range [8, inf), got {args.points}")
-    if args.grid_max is None:
-        grid = default_capacity_grid(betas, points=args.points)
-    else:
-        if not 0.0 < args.grid_max <= GRID_MAX_BITS:
-            raise ConfigError(
-                f"--grid-max out of range (0, {GRID_MAX_BITS:g}], got {args.grid_max!r}"
-            )
-        grid = np.linspace(args.grid_max / args.points, args.grid_max, args.points)
+    grid = default_capacity_grid(betas, points=args.points, grid_max=args.grid_max)
     density = capacity_pdf(betas, grid)
     lines = ["# bits density"]
     for t, f in zip(grid, density):
         lines.append(f"{t:.9g} {f:.9g}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 

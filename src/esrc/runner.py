@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import logging
+import sys
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -322,12 +323,18 @@ def render_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(rows: Sequence[SweepRow], destination) -> str:
-    """Write the CSV table to a path; reruns of the same plan are byte-identical."""
-    text = render_csv(rows)
+def write_text(text: str, destination) -> None:
+    """Write a finished table to the path `destination`, or to stdout when it is None."""
+    if destination is None:
+        sys.stdout.write(text)
+        return
     with open(destination, "w", encoding="ascii", newline="") as fh:
         fh.write(text)
-    return str(destination)
+
+
+def emit_csv(rows: Sequence[SweepRow], destination) -> None:
+    """Write the CSV table; reruns of the same plan are byte-identical."""
+    write_text(render_csv(rows), destination)
 
 
 def _count(name, token):

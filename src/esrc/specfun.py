@@ -299,11 +299,12 @@ def _log_scaled_gamma(nu, z):
     out = np.empty(shape, dtype=complex)
 
     size = np.abs(v)
-    bound = 2.0 * (x + 1.0)
-    leading = (v.real <= 0.0) & (size / _LEADING_TERM_NU >= x + 1.0)
+    # halving is exact, and 2(z + 1) would overflow above z = 9e307
+    x1 = x + 1.0
+    leading = (v.real <= 0.0) & (size / _LEADING_TERM_NU >= x1)
     kummer = ~leading & (
-        (np.abs(v.imag) >= bound)
-        | (v.real >= bound)
+        (0.5 * np.abs(v.imag) >= x1)
+        | (0.5 * v.real >= x1)
         | ((v.real > np.maximum(x - 1.0, 0.0)) & (size >= 0.5))
     )
     lentz = ~(leading | kummer) & (x >= 1.0)

@@ -92,6 +92,11 @@ class TestEsrcClosedForm:
         with pytest.raises(NumericalError, match="1e-320"):
             esrc_closed_form(BetaVector([1e-320]))
 
+    def test_smallest_betas_take_the_limit(self):
+        # z = 1/beta near the float limit, where 2(z + 1) overflows; e^z E_1(z)
+        # is 1/z to within 1/z^2
+        assert esrc_closed_form(BetaVector([1e-308])) == pytest.approx(1e-308 / LN2, rel=1e-12)
+
 
 class TestQuadratureOracle:
     def test_matches_closed_form(self):
@@ -214,6 +219,18 @@ class TestDefaultCapacityGrid:
         for beta in (1e-300, 1e-18):
             with pytest.raises(ValueError, match="too small"):
                 default_capacity_grid(BetaVector([beta, beta]), points=8)
+
+    def test_explicit_top_skips_the_tail_search(self):
+        # betas too small for an automatic grid still take an explicit one
+        grid = default_capacity_grid(BetaVector([1e-300]), points=64, grid_max=8.0)
+        assert np.array_equal(grid, np.linspace(0.125, 8.0, 64))
+
+    def test_rejects_bad_grid_max(self):
+        for top in (math.inf, -math.inf, math.nan, 0.0, -1.0, 64.5):
+            with pytest.raises(ValueError, match=r"grid_max out of range \(0, 64\]"):
+                default_capacity_grid(BetaVector([1.0]), points=8, grid_max=top)
+        with pytest.raises(ValueError, match="points must be an integer >= 8"):
+            default_capacity_grid(BetaVector([1.0]), points=4, grid_max=8.0)
 
 
 class TestCapacityPdf:

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -792,11 +793,54 @@ class TestCli:
         density = [float(line.split()[1]) for line in out.read_text().splitlines()[1:]]
         assert density == pytest.approx([LN2 / 2.0] * 8, rel=1e-6)
 
-    def test_pdf_rejects_bad_input(self):
+    def test_pdf_rejects_bad_input(self, capsys):
         assert main(["pdf", "--betas", "1.0,,2"]) == 2
         assert main(["pdf", "--betas", "-1.0"]) == 2
         assert main(["pdf", "--betas", "1.0", "--points", "4"]) == 2
         assert main(["pdf", "--betas", "1.0", "--grid-max", "100"]) == 2
+        # inf is the top that np.linspace would warn on if the range rule went
+        for extra in (
+            ["--grid-max=inf"],
+            ["--grid-max=-inf"],
+            ["--grid-max=nan"],
+            ["--grid-max=0"],
+            ["--grid-max=-1"],
+            ["--points", "4", "--grid-max", "8"],
+        ):
+            capsys.readouterr()
+            assert main(["pdf", "--betas", "1.0", *extra]) == 2, extra
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, extra
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--betas", "1e-310,2", "--points", "8"], 2),
+            (["--betas", "1e-308,2", "--points", "8"], 0),
+            (["--betas", "1e-300", "--grid-max", "8", "--points", "8"], 0),
+        ],
+        ids=["1e-310", "1e-308", "1e-300-grid-max"],
+    )
+    def test_pdf_tiny_betas_warn_nothing(self, argv, code, capsys):
+        # 1/1e-310 overflows and is rejected by name; 1e-308 and 1e-300 overflow
+        # only ratios whose limit is exact (a tail term 0, a mass 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pdf", *argv]) == code
+        err = capsys.readouterr().err
+        assert err == ("error: 1/beta overflows float64 for beta=1e-310\n" if code else "")
+
+    @pytest.mark.parametrize("command", ["run", "pdf"])
+    def test_stdout_table_matches_the_out_file(self, tmp_path, capsys, command):
+        if command == "run":
+            argv = ["run", "--config", self.write_cfg(tmp_path, "[sweep.m]\nvalues = 0.7, 2.5\n")]
+        else:
+            argv = ["pdf", "--betas", "1,2", "--points", "16"]
+        out = tmp_path / "table"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("ascii") == out.read_bytes()
 
     @pytest.mark.parametrize("betas", ["1e-300", "1e300"])
     def test_pdf_unrepresentable_betas_exit_2(self, betas, capsys):

@@ -62,19 +62,11 @@ def sample_nakagami_component(params, rng, size):
     stream that depends on rng's seed sequence and on how many children it
     has spawned, not on how many values rng has drawn.  Each is filled in C
     order, so the first k values of either do not depend on how many are
-    drawn and a smaller draw is a prefix of a larger one.  rng's bit
-    generator must be seeded from a SeedSequence (TypeError otherwise).  An
-    omega/m that overflows or underflows float64 raises NumericalError.
+    drawn and a smaller draw is a prefix of a larger one.  rng is a
+    Generator seeded from a SeedSequence, as trial_rng's are.  An omega/m
+    that overflows or underflows float64 raises NumericalError.
     """
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
-    try:
-        uniform = rng.spawn(1)[0]
-    except TypeError:
-        raise TypeError(
-            "rng needs a bit generator seeded from a SeedSequence to spawn its "
-            f"sign substream, got {type(rng.bit_generator).__name__} without one"
-        ) from None
+    uniform = rng.spawn(1)[0]
     scale = params.omega / params.m
     if not 0.0 < scale < math.inf:
         flow = "underflows" if scale == 0.0 else "overflows"
@@ -102,10 +94,9 @@ def sample_channel_matrix(n_r, n_t, params, rng, trials):
     Each entry has E[|h|^2] = omega.  The stack has shape (trials, n_r, n_t)
     and is trial-major, so the first k trials of a stack are the stack of k
     trials.  Both quadratures come from one component draw of shape
-    (trials, n_r, n_t, 2), which views as complex128 without a copy.
+    (trials, n_r, n_t, 2), which views as complex128 without a copy.  The
+    positive integer dimensions are those a SystemConfig guarantees.
     """
-    if int(n_r) != n_r or n_r < 1 or int(n_t) != n_t or n_t < 1:
-        raise ValueError(f"dimensions must be positive integers, got {n_r!r} x {n_t!r}")
     parts = sample_nakagami_component(params, rng, (trials, n_r, n_t, 2))
     return parts.view(np.complex128)[..., 0]
 
@@ -113,23 +104,13 @@ def sample_channel_matrix(n_r, n_t, params, rng, trials):
 def compose_channel(h_w, sqrt_sigma, mode):
     """Apply the one-sided correlation root: S @ H_w (receive) or H_w @ S (transmit).
 
-    h_w may be one n_r x n_t matrix or a stack of them.
+    h_w is one n_r x n_t matrix or a stack of them, and sqrt_sigma the real
+    root of the side a SystemConfig matches to mode.
     """
-    h_w = np.asarray(h_w)
-    sqrt_sigma = np.asarray(sqrt_sigma)
-    n_r, n_t = h_w.shape[-2:]
-    need = mode.correlated_count(n_r, n_t)
-    if sqrt_sigma.shape != (need, need):
-        raise ValueError(
-            f"correlation root is {sqrt_sigma.shape[0]}x{sqrt_sigma.shape[1]} but the "
-            f"{mode.side} side of a {n_r}x{n_t} channel needs {need}x{need}"
-        )
+    h_w = np.ascontiguousarray(h_w, dtype=np.complex128)
     if mode.side == "transmit":
         # one product over the rows of every trial
-        return np.matmul(h_w.reshape(-1, n_t), sqrt_sigma).reshape(h_w.shape)
-    if h_w.dtype == np.complex128 and np.isrealobj(sqrt_sigma):
-        # a real root mixes rows only, so it multiplies the real and
-        # imaginary parts as one float array, half the work of a complex product
-        parts = np.ascontiguousarray(h_w).view(np.float64)
-        return np.matmul(sqrt_sigma, parts).view(np.complex128)
-    return np.matmul(sqrt_sigma, h_w)
+        return np.matmul(h_w.reshape(-1, h_w.shape[-1]), sqrt_sigma).reshape(h_w.shape)
+    # a real root mixes rows only, so it multiplies the real and imaginary
+    # parts as one float array, half the work of a complex product
+    return np.matmul(sqrt_sigma, h_w.view(np.float64)).view(np.complex128)

@@ -59,27 +59,22 @@ def build_banded_correlation(spec):
 
 
 def matrix_sqrt(matrix, spec=None):
-    """Hermitian square root of a Hermitian positive semidefinite matrix.
+    """Symmetric square root of a real symmetric positive semidefinite matrix.
 
-    One eigendecomposition both gates the matrix and builds the root.  A
-    matrix that is not square or not Hermitian raises ValueError, and an
+    matrix is a real symmetric ndarray, as build_banded_correlation returns.
+    One eigendecomposition both gates the matrix and builds the root.  An
     eigensolver failure raises ArithmeticError naming a blake2b fingerprint
     of the matrix bytes.  A smallest eigenvalue below -PSD_TOL raises
     NotPositiveSemidefiniteError, whose message gives that eigenvalue and
     spec, if given.  Eigenvalues in [-PSD_TOL, 0) are eigensolver round-off
     on a PSD matrix and are clamped to zero.
     """
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.allclose(arr, arr.conj().T, rtol=0.0, atol=1e-12):
-        raise ValueError("matrix is not Hermitian")
     try:
-        eigvals, eigvecs = np.linalg.eigh(arr)
+        eigvals, eigvecs = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
-            f"eigendecomposition failed for {arr.shape[0]}x{arr.shape[1]} matrix "
-            f"(fingerprint {hashlib.blake2b(arr.tobytes(), digest_size=4).hexdigest()})"
+            f"eigendecomposition failed for {matrix.shape[0]}x{matrix.shape[1]} matrix "
+            f"(fingerprint {hashlib.blake2b(matrix.tobytes(), digest_size=4).hexdigest()})"
         ) from exc
     lowest = float(eigvals[0])
     if not lowest >= -PSD_TOL:
@@ -88,6 +83,6 @@ def matrix_sqrt(matrix, spec=None):
             f"matrix is not positive semidefinite{origin}: min eigenvalue {lowest:.6e}"
         )
     eigvals = np.clip(eigvals, 0.0, None)
-    root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
-    # exact Hermitian symmetry by construction
-    return 0.5 * (root + root.conj().T)
+    root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
+    # exact symmetry by construction
+    return 0.5 * (root + root.T)

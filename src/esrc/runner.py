@@ -208,15 +208,11 @@ def point_seed(master_seed: int, point: Dict[str, float]) -> int:
     """Per-point seed: blake2b over the master seed and parameter values.
 
     Hash-based rather than index-based so adding or removing values on one
-    axis never changes any other point's stream.
+    axis never changes any other point's stream.  master_seed lies in the
+    [0, 2^64-1] that SystemConfig checks.
     """
     digest = hashlib.blake2b(digest_size=8)
-    try:
-        digest.update(int(master_seed).to_bytes(8, "little"))
-    except OverflowError:
-        raise ValueError(
-            f"master seed must be a 64-bit unsigned integer, got {master_seed!r}"
-        ) from None
+    digest.update(int(master_seed).to_bytes(8, "little"))
     for name in AXIS_ORDER:
         digest.update(f"{name}={float(point[name])!r};".encode("ascii"))
     return int.from_bytes(digest.digest(), "little")

@@ -374,38 +374,34 @@ EULER_A = 18.4
 def invert_laplace(transform, grid):
     """Numerically invert a Laplace transform on a grid of positive points.
 
-    transform receives one complex array of shape (grid size, EULER_NODES),
-    the Euler nodes of every point in one row, and returns the transform's
-    values there as an array of that shape.  The transform must be
+    grid is a non-empty 1-d float array, as capacity_pdf checks.  transform
+    receives one complex array of shape (grid size, EULER_NODES), the Euler
+    nodes of every point in one row, and returns the transform's values
+    there as an array of that shape.  The transform must be
     analytic to the right of the imaginary axis.  The Euler method only
     ever evaluates on a vertical line, so it tolerates transforms that grow
     into the left half-plane.
     """
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim != 1 or pts.size == 0:
-        raise ValueError("grid must be a non-empty 1-d array")
-    if np.any(pts <= 0.0):
-        raise ValueError("all grid points must be positive")
     # Abate-Whitt Euler summation: alternating series on the line
     # Re s = A/(2t), accelerated by binomial averaging of partial sums
     m = EULER_NODES // 3
     n = EULER_NODES - 1 - m
     k = np.arange(EULER_NODES)
-    nodes = np.empty((pts.size, EULER_NODES), dtype=complex)
-    nodes.real = (EULER_A / (2.0 * pts))[:, None]
-    nodes.imag = k * math.pi / pts[:, None]
+    nodes = np.empty((grid.size, EULER_NODES), dtype=complex)
+    nodes.real = (EULER_A / (2.0 * grid))[:, None]
+    nodes.imag = k * math.pi / grid[:, None]
     values = np.broadcast_to(transform(nodes), nodes.shape)
     bad = ~(np.isfinite(values.real) & np.isfinite(values.imag))
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise LaplaceInversionError(
             f"transform returned a non-finite value at node {complex(nodes[row, col])!r} "
-            f"(t={float(pts[row])!r})"
+            f"(t={float(grid[row])!r})"
         )
     terms = np.where(k % 2 == 0, 1.0, -1.0) * values.real
     terms[:, 0] = 0.5 * values[:, 0].real
     partial = np.cumsum(terms, axis=1)
-    acc = np.zeros(pts.size)
+    acc = np.zeros(grid.size)
     for j in range(m + 1):
         acc += math.comb(m, j) * 0.5**m * partial[:, n + j]
-    return math.exp(EULER_A / 2.0) / pts * acc
+    return math.exp(EULER_A / 2.0) / grid * acc

@@ -114,7 +114,8 @@ def _checked_inverse_diagonal(gram):
 def zf_sinr(h, snr):
     """Per-stream SINR snr / [(H*H)^{-1}]_{kk} of a stack of channels.
 
-    h has shape (c, n_r, n_t), a redraw being a stack of one, and the result
+    h is a (c, n_r, n_t) stack, a redraw being a stack of one, with the
+    n_r >= n_t and 0 < snr < inf that a SystemConfig guarantees; the result
     has shape (c, n_t).  A trial whose Gram matrix has a condition number of
     COND_LIMIT or more gets a NaN row, so that the caller can redraw it
     alone; a Gram matrix that overflows, or an SINR that overflows or
@@ -125,13 +126,6 @@ def zf_sinr(h, snr):
     check.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 3:
-        raise ValueError(f"expected a stack of channels (c, n_r, n_t), got shape {h.shape}")
-    n_r, n_t = h.shape[-2:]
-    if n_r < n_t:
-        raise ValueError(f"zero-forcing needs n_r >= n_t, got {n_r}x{n_t}")
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr!r}")
     # an overflow in the Gram product (where inf - inf gives NaN), the bound
     # or the SINR is reported as one of the NumericalErrors below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -156,10 +150,7 @@ def zf_sinr(h, snr):
 
 
 def sum_rate(sinr):
-    """Sum over streams of log2(1 + sinr_k), in bits/s/Hz; one per row of a stack."""
-    sinr = np.asarray(sinr, dtype=float)
-    if not np.all(sinr > 0.0):
-        raise ValueError("all SINR entries must be positive")
+    """Sum over streams of log2(1 + sinr_k) in bits/s/Hz, per row of zf_sinr's positive SINRs."""
     return np.sum(np.log1p(sinr), axis=-1) / LN2
 
 

@@ -1,7 +1,8 @@
 """Reference functions that only the tests call.
 
-The quadrature of the per-user capacity, the Gompertz-Makeham density and
-the Nakagami component density are independent of the code under test.
+The quadrature of the per-user capacity, the Gompertz-Makeham density,
+the Nakagami component density and the ZF SINR's second moment are
+independent of the code under test.
 upper_incomplete_gamma and tricomi_u1 are real-argument views of the
 special-function engine, so its properties can be checked against
 scipy.special and quadrature over the domains they promise.
@@ -128,6 +129,23 @@ def nakagami_component_pdf(x, params):
     with np.errstate(divide="ignore"):
         log_pdf = log_norm + (m - 1.0) * np.log(np.abs(x)) - m * x * x / omega
     return np.exp(log_pdf)
+
+
+def zf_sinr_second_moment(h, k, snr, params):
+    """E[SINR_k^2 | P] under ZF, for each channel of a stack with i.i.d. Nakagami-m entries.
+
+    SINR_k = snr h_k* P h_k, where P projects onto the complement of the
+    other columns and has rank L = n_r - n_t + 1.  Column k is independent
+    of P, with zero-mean entries of E|h|^2 = omega and E|h|^4 =
+    omega^2 (1 + 1/m) (|h|^2 ~ Gamma(m, omega/m)) and E[h^2] = 0, so the
+    conditional moment is snr^2 omega^2 [L^2 + L - (1 - 1/m) sum_i P_ii^2].
+    """
+    n_r, n_t = h.shape[-2:]
+    q, _ = np.linalg.qr(np.delete(h, k, axis=-1))
+    p_diag = 1.0 - np.sum(np.abs(q) ** 2, axis=-1)
+    rank = n_r - n_t + 1
+    scale = (snr * params.omega) ** 2
+    return scale * (rank * rank + rank - (1.0 - 1.0 / params.m) * np.sum(p_diag**2, axis=-1))
 
 
 def sum_capacity_mgf(s, b):

@@ -59,16 +59,6 @@ class TestSemiCorrelationMode:
 
 
 class TestSampleNakagamiComponent:
-    def test_requires_generator(self):
-        with pytest.raises(TypeError, match="Generator"):
-            sample_nakagami_component(FadingParams(m=1.0, omega=1.0), rng=42, size=4)
-
-    def test_requires_spawnable_bit_generator(self):
-        # a keyed Philox has no SeedSequence, so it cannot spawn the sign stream
-        rng = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
-        with pytest.raises(TypeError, match="SeedSequence.*Philox"):
-            sample_nakagami_component(FadingParams(m=1.0, omega=1.0), rng=rng, size=4)
-
     def test_streams_built_alike_draw_alike(self):
         params = FadingParams(m=0.7, omega=1.2)
 
@@ -140,15 +130,10 @@ class TestSampleNakagamiComponent:
 
 
 class TestSampleChannelMatrix:
-    def test_rejects_bad_dims(self):
+    def test_trials_has_no_default(self):
         rng = np.random.default_rng(0)
-        params = FadingParams(m=1.0, omega=1.0)
-        with pytest.raises(ValueError):
-            sample_channel_matrix(0, 4, params, rng, trials=1)
-        with pytest.raises(ValueError):
-            sample_channel_matrix(4, -1, params, rng, trials=1)
         with pytest.raises(TypeError, match="trials"):
-            sample_channel_matrix(4, 4, params, rng)
+            sample_channel_matrix(4, 4, FadingParams(m=1.0, omega=1.0), rng)
 
     def test_shape_and_dtype(self):
         rng = np.random.default_rng(1)
@@ -225,11 +210,6 @@ class TestComposeChannel:
             for h, composed in zip(stack, out):
                 expected = root.astype(complex) @ h if side == "receive" else h @ root
                 np.testing.assert_allclose(composed, expected, rtol=1e-13, atol=1e-15)
-
-    def test_dimension_mismatch_names_both(self):
-        h = np.zeros((4, 3))
-        with pytest.raises(ValueError, match="2x2.*transmit.*4x3.*3x3"):
-            compose_channel(h, np.eye(2), SemiCorrelationMode("transmit"))
 
     def test_receive_covariance_approaches_sigma(self):
         # E[H H^H] = n_t * omega * Sigma_R for receive-side correlation

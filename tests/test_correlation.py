@@ -119,14 +119,6 @@ class TestPsdCheck:
                 spec = CorrelationSpec(n=8, rho=rho, l_band=l_band)
                 matrix_sqrt(build_banded_correlation(spec), spec=spec)
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            matrix_sqrt(np.ones((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            matrix_sqrt(np.array([[1.0, 0.2], [0.3, 1.0]]))
-
     def test_eigensolver_failure_fingerprint_is_reproducible(self, monkeypatch):
         # blake2b of the matrix bytes, so the same matrix names the same
         # fingerprint under every PYTHONHASHSEED
@@ -168,12 +160,6 @@ class TestMatrixSqrt:
         s = matrix_sqrt(r)
         assert np.array_equal(s, s.conj().T)
         assert np.linalg.eigvalsh(s)[0] >= -PSD_TOL
-
-    def test_complex_hermitian_input(self):
-        a = np.array([[2.0, 0.5 + 0.25j], [0.5 - 0.25j, 1.0]])
-        s = matrix_sqrt(a)
-        assert np.allclose(s, s.conj().T, atol=1e-15)
-        assert np.allclose(s @ s, a, atol=1e-14)
 
     def test_rank_deficient_clamps_roundoff(self):
         x = np.array([1.0, 2.0, 3.0])

@@ -362,10 +362,6 @@ class TestPointSeed:
         # an axis of one value seeds identically to one that leaves it fixed
         assert point_seed(3, self.point(omega=1.0)) == point_seed(3, self.point())
 
-    def test_rejects_bad_master_seed(self):
-        with pytest.raises(ValueError):
-            point_seed(-1, self.point())
-
 
 # documents over the full ranges parse_config accepts with allow_extended:
 # 1x1 to 4x4 antennas on either side, log-uniform m and omega up to 1e308,

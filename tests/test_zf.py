@@ -35,6 +35,7 @@ from esrc.zf import (
     trial_rng,
     zf_sinr,
 )
+from oracles import zf_sinr_second_moment
 
 
 def make_config(**overrides):
@@ -95,12 +96,6 @@ class TestZfSinr:
     def test_scalar_channel(self):
         assert zf_sinr(np.array([[[1.0]]]), 5.0)[0] == pytest.approx([5.0])
 
-    def test_rejects_a_single_matrix(self):
-        with pytest.raises(ValueError, match="stack"):
-            zf_sinr(np.eye(2), 1.0)
-        with pytest.raises(ValueError, match="stack"):
-            zf_sinr(np.ones((1, 1, 2, 2)), 1.0)
-
     def test_unitary_channel_gives_flat_sinr(self):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
@@ -117,14 +112,6 @@ class TestZfSinr:
         (sinr,) = zf_sinr(h[None], 1.0)
         norms = np.sum(np.abs(h) ** 2, axis=0)
         assert sinr == pytest.approx(norms, rel=1e-12)
-
-    def test_rejects_wide_channel(self):
-        with pytest.raises(ValueError, match="n_r >= n_t"):
-            zf_sinr(np.ones((1, 2, 3)), 1.0)
-
-    def test_rejects_nonpositive_snr(self):
-        with pytest.raises(ValueError, match="snr"):
-            zf_sinr(np.eye(2)[None], 0.0)
 
     def test_snr_scale_linearity(self):
         rng = np.random.default_rng(4)
@@ -170,10 +157,6 @@ class TestSumRate:
         expected = np.log2(1.5) + 1.0 + 3.0
         assert sum_rate([0.5, 1.0, 7.0]) == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx(4.584962500721156, abs=1e-14)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sum_rate([1.0, 0.0])
 
 
 class TestTrialRng:
@@ -750,3 +733,35 @@ class TestExactLawOracle:
         for k in range(n):
             p = stats.kstest(samples[k] / betas[k], "expon").pvalue
             assert p > 0.01 / n, (k, p)
+
+
+class TestNakagamiChainOracle:
+    """At rho = 0 and any m, the second moment of sampler, composition and ZF
+    together against oracles.zf_sinr_second_moment, averaged over the
+    channels drawn: the sample mean of SINR_0^2 less its conditional moment
+    is zero.  A sampler that kept the power but ignored m would miss the
+    (1 - 1/m) term."""
+
+    CHUNKS = 12
+    CHUNK = 5000
+    SEED = 9
+
+    @pytest.mark.parametrize("n_r, n_t, side", [(8, 8, "transmit"), (16, 8, "receive")])
+    @pytest.mark.parametrize("m", [0.7, 2.5])
+    def test_second_moment_matches_the_identity(self, n_r, n_t, side, m):
+        params = FadingParams(m=m, omega=1.2)
+        mode = SemiCorrelationMode(side)
+        n = mode.correlated_count(n_r, n_t)
+        root = matrix_sqrt(build_banded_correlation(CorrelationSpec(n=n, rho=0.0, l_band=n - 1)))
+        snr = 10.0
+        gaps = []
+        for chunk in range(self.CHUNKS):
+            rng = trial_rng(self.SEED, chunk)
+            h = compose_channel(
+                sample_channel_matrix(n_r, n_t, params, rng, trials=self.CHUNK), root, mode
+            )
+            sinr = zf_sinr(h, snr)[:, 0]
+            gaps.append(sinr**2 - zf_sinr_second_moment(h, 0, snr, params))
+        gaps = np.concatenate(gaps)
+        z = gaps.mean() / (gaps.std(ddof=1) / np.sqrt(gaps.size))
+        assert abs(z) <= 4.0, z

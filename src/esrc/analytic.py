@@ -35,8 +35,9 @@ GRID_MAX_BITS = 64.0
 # orders nu = 1 - s/ln2 they give, leave the float range (near 1.4e-306)
 GRID_MIN_BITS = 1e-305
 _TAIL_MASS = 1e-6
-# (user, Euler node) pairs per transform call; the engine holds about 60
-# bytes per pair, so one call stays near 16 MB however long the grid
+# (user, Euler node) pairs per transform call.  However long the grid, one
+# call peaks near 65 bytes per pair (17 MB) at 8 users and 52 at 64; the
+# per-node arrays add about 220 bytes per node, so one user peaks near 71 MB
 _PAIRS_PER_CALL = 2**18
 
 

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 from scipy.special import loggamma as _cx_loggamma
 
 from esrc import specfun
@@ -50,12 +50,17 @@ from esrc.specfun import (
 _MGF_STEP = 1e-4
 
 
-def per_user_capacity_quadrature(beta):
-    """Independent oracle: int_0^inf log2(1 + beta*u) e^{-u} du by quadrature."""
+def per_user_capacity_quadrature(beta, order=1):
+    """Independent oracle: E[log2(1 + X)], X ~ Gamma(order, scale beta), by quadrature.
+
+    The integral is int_0^inf log2(1 + beta*u) u^{order-1} e^{-u} du / Gamma(order);
+    order 1 is the exponential SINR of the closed form.
+    """
     if not (beta > 0.0 and np.isfinite(beta)):
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    log_norm = gammaln(order)
     value, abserr = quad(
-        lambda u: np.log1p(beta * u) * np.exp(-u),
+        lambda u: np.log1p(beta * u) * np.exp(xlogy(order - 1, u) - u - log_norm),
         0.0,
         np.inf,
         epsabs=1e-13,

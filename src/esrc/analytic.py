@@ -35,10 +35,12 @@ GRID_MAX_BITS = 64.0
 # orders nu = 1 - s/ln2 they give, leave the float range (near 1.4e-306)
 GRID_MIN_BITS = 1e-305
 _TAIL_MASS = 1e-6
-# (user, Euler node) pairs per transform call.  However long the grid, one
-# call peaks near 65 bytes per pair (17 MB) at 8 users and 52 at 64; the
-# per-node arrays add about 220 bytes per node, so one user peaks near 71 MB
+# (user, Euler node) pairs per transform call, each node counting as
+# _NODE_PAIRS pairs more: a call holds 52-65 bytes per pair and about 220 per
+# node.  Under tracemalloc, 8,192 points peak at 13-16 MB per call for any
+# user count from 1 to 64
 _PAIRS_PER_CALL = 2**18
+_NODE_PAIRS = 4
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def capacity_pdf(b, grid):
                 f"capacity mass below the supported {GRID_MAX_BITS:.0f} bits"
             )
     transform = _density_transform(b)
-    block = max(1, _PAIRS_PER_CALL // (EULER_NODES * b.n_users))
+    block = max(1, _PAIRS_PER_CALL // (EULER_NODES * (b.n_users + _NODE_PAIRS)))
     return np.concatenate(
         [invert_laplace(transform, pts[i : i + block]) for i in range(0, pts.size, block)]
     )

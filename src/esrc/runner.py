@@ -241,9 +241,9 @@ def _config_for_point(base: SystemConfig, point, seed: int) -> SystemConfig:
     )
 
 
-def _measure(config: SystemConfig, full_fit: bool) -> Dict[str, Optional[float]]:
-    """The result columns of one point."""
-    esrc_mc, std_err, samples = monte_carlo_esrc(config)
+def _measure(config: SystemConfig, full_fit: bool) -> Tuple[Dict[str, Optional[float]], int]:
+    """The result columns of one point, and the number of its trials that were redrawn."""
+    esrc_mc, std_err, samples, redraws = monte_carlo_esrc(config)
     betas = [fit_exponential(row) for row in samples]
     analytic = esrc_closed_form(BetaVector(betas))
     columns = dict(
@@ -258,7 +258,7 @@ def _measure(config: SystemConfig, full_fit: bool) -> Dict[str, Optional[float]]
         fits = [fit_gamma_ml(row) for row in samples]
         columns["alpha_mean"] = float(np.mean([fit.alpha for fit in fits]))
         columns["gof_pass_rate"] = float(np.mean([fit.chi2_pass and fit.ks_pass for fit in fits]))
-    return columns
+    return columns, redraws
 
 
 _NO_RESULT = dict.fromkeys(
@@ -288,12 +288,13 @@ def run_sweep(plan: SweepPlan, full_fit: bool = False) -> List[SweepRow]:
         seed = point_seed(plan.base.seed, point)
         config = _config_for_point(plan.base, point, seed)
         try:
-            columns, status = _measure(config, full_fit), "ok"
+            (columns, redraws), status = _measure(config, full_fit), "ok"
             log.info(
-                "%s: esrc_mc=%.6g rel_err=%.2e",
+                "%s: esrc_mc=%.6g rel_err=%.2e redraws=%d",
                 _point_label(point),
                 columns["esrc_mc"],
                 columns["rel_err"],
+                redraws,
             )
         except Exception as exc:
             log.warning("%s: failed (%s: %s)", _point_label(point), type(exc).__name__, exc)

@@ -43,11 +43,6 @@ log = logging.getLogger(__name__)
 class MonteCarloAbort(RuntimeError):
     """Too many singular draws for the estimate to be trusted."""
 
-    def __init__(self, message, singular_trials, trials):
-        super().__init__(message)
-        self.singular_trials = singular_trials
-        self.trials = trials
-
 
 def chunk_trials(n_r, n_t):
     """Trials per chunk, a function of the dimensions only."""
@@ -204,9 +199,10 @@ def _fork_range(run, chunks, counts, k):
 def monte_carlo_esrc(config):
     """Estimate the ergodic sum-rate capacity by independent channel draws.
 
-    Returns (esrc_mc, std_err, samples): the mean per-trial sum rate in
-    bits/s/Hz, its standard error (0.0 for one trial), and the per-trial
-    SINRs, one row per user and one column per trial.
+    Returns (esrc_mc, std_err, samples, redraws): the mean per-trial sum
+    rate in bits/s/Hz, its standard error (0.0 for one trial), the per-trial
+    SINRs, one row per user and one column per trial, and the number of
+    trials that were redrawn.
     A trial the conditioning check rejects is redrawn from its own
     (seed, chunk, trial, attempt) stream, up to _MAX_RESAMPLES times; if
     more than SINGULAR_TRIAL_FRACTION of trials need a redraw, the run
@@ -259,7 +255,7 @@ def monte_carlo_esrc(config):
 
         Raises what one process running every chunk would: the abort at
         the first redraw past the abort fraction, or when a trial stays
-        singular, each with the count so far.
+        singular.
         """
         for chunk in chunks:
             start = chunk * step
@@ -272,18 +268,14 @@ def monte_carlo_esrc(config):
                         break
                 else:
                     raise MonteCarloAbort(
-                        f"trial {start + i} stayed singular after {_MAX_RESAMPLES} resamples",
-                        singular_trials=redraws,
-                        trials=trials,
+                        f"trial {start + i} stayed singular after {_MAX_RESAMPLES} resamples"
                     )
                 sinr[i] = redrawn
                 redraws += 1
                 if redraws > limit:
                     raise MonteCarloAbort(
                         f"{redraws} of {trials} trials hit singular channels, "
-                        f"above the {SINGULAR_TRIAL_FRACTION:.1%} abort threshold",
-                        singular_trials=redraws,
-                        trials=trials,
+                        f"above the {SINGULAR_TRIAL_FRACTION:.1%} abort threshold"
                     )
             samples[:, start:stop] = sinr.T
             rates[start:stop] = sum_rate(sinr)
@@ -293,12 +285,12 @@ def monte_carlo_esrc(config):
     try:
         for k, chunks in enumerate(ranges[1:], 1):
             pids.append(_fork_range(run, chunks, counts, k))
-        singular_trials = run(ranges[0], 0)
+        redraws = run(ranges[0], 0)
         for k, pid in enumerate(pids, 1):
             _, status = os.waitpid(pid, 0)
             # the count is read only once its child has exited
-            if status == 0 and singular_trials + counts[k] <= limit:
-                singular_trials += int(counts[k])
+            if status == 0 and redraws + counts[k] <= limit:
+                redraws += int(counts[k])
                 continue
             if os.WIFSIGNALED(status):
                 sig = os.WTERMSIG(status)
@@ -308,7 +300,7 @@ def monte_carlo_esrc(config):
                     sig,
                     signal.strsignal(sig),
                 )
-            singular_trials = run(ranges[k], singular_trials)
+            redraws = run(ranges[k], redraws)
     finally:
         for pid in pids:
             try:
@@ -323,4 +315,4 @@ def monte_carlo_esrc(config):
         std_err = float(np.std(rates, ddof=1) / np.sqrt(trials))
     else:
         std_err = 0.0
-    return esrc_mc, std_err, samples
+    return esrc_mc, std_err, samples, redraws

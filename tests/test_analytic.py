@@ -1,6 +1,7 @@
 """Tests for the closed-form capacity, its MGF, and the inverted density."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,8 +298,23 @@ class TestCapacityPdf:
         grid = np.linspace(0.1, 12.0, 20)
         whole = capacity_pdf(b, grid)
         # three grid points per transform call
-        monkeypatch.setattr(analytic, "_PAIRS_PER_CALL", 3 * EULER_NODES * 2)
+        monkeypatch.setattr(
+            analytic, "_PAIRS_PER_CALL", 3 * EULER_NODES * (2 + analytic._NODE_PAIRS)
+        )
         assert np.array_equal(capacity_pdf(b, grid), whole)
+
+    def test_one_user_long_grid_peaks_below_20_mb(self):
+        # each block's per-node arrays are counted: sized by (user, node)
+        # pairs alone, one user's 8,192 points peaked at 70 MB in one call
+        b = BetaVector([8.0])
+        grid = np.linspace(0.01, 40.0, 8192)
+        tracemalloc.start()
+        try:
+            capacity_pdf(b, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
 
     def test_rejects_bad_grids(self):
         b = BetaVector([1.0])

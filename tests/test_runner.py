@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import logging
 import math
 import os
 import signal
@@ -429,10 +430,36 @@ class TestRunSweep:
         assert 0.7 < row.alpha_mean < 1.3
         assert 0.0 <= row.gof_pass_rate <= 1.0
 
+    def test_point_logs_its_redraw_count(self, monkeypatch, caplog):
+        # 2x2 at 1000 trials is one chunk, run in the caller, and allows one
+        # redraw; the second point's chunk draw comes back with a singular trial
+        monkeypatch.setattr(esrc.zf, "_cpu_count", lambda: 1)
+        real = esrc.zf.zf_sinr
+        calls = []
+
+        def marked(h, snr):
+            calls.append(len(h))
+            sinr = real(h, snr)
+            if len(calls) == 2:
+                sinr[0] = np.nan
+            return sinr
+
+        monkeypatch.setattr(esrc.zf, "zf_sinr", marked)
+        plan = parse_config("n_t = 2\nn_r = 2\ntrials = 1000\n[sweep.snr_db]\nvalues = 0, 10\n")
+        with caplog.at_level(logging.INFO, logger="esrc.runner"):
+            rows = run_sweep(plan)
+        assert calls == [1000, 1000, 1]
+        assert [row.status for row in rows] == ["ok", "ok"]
+        lines = [line.split() for line in caplog.messages if "esrc_mc=" in line]
+        assert [(words[0], words[-1]) for words in lines] == [
+            ("snr_db=0", "redraws=0"),
+            ("snr_db=10", "redraws=1"),
+        ]
+
     @pytest.mark.parametrize(
         "error",
         [
-            MonteCarloAbort("too many singular draws", 5, 100),
+            MonteCarloAbort("too many singular draws"),
             # the type matrix_sqrt raises when its eigensolver fails
             ArithmeticError("eigensolver failed"),
             ValueError("every beta must be positive and finite"),
@@ -689,7 +716,7 @@ class TestCli:
 
     def test_run_failed_point_exits_1(self, tmp_path, monkeypatch):
         def always_abort(config):
-            raise MonteCarloAbort("too many singular draws", 5, 100)
+            raise MonteCarloAbort("too many singular draws")
 
         monkeypatch.setattr(runner_mod, "monte_carlo_esrc", always_abort)
         cfg = self.write_cfg(tmp_path)

@@ -3,7 +3,9 @@
 The benchmark's probe wraps esrc functions by module attribute, and a hook
 that no longer resolves shows only as a "not traced" note in a traced
 benchmark run.  README's Python examples import from the submodules.  Both
-are checked here, so that deleting or moving a name they use fails a test.
+are checked here, so that deleting or moving a name they use fails a test,
+and README's Python examples are run, so that an API change that leaves
+them stale fails one too.
 """
 
 import ast
@@ -55,10 +57,15 @@ def test_importing_the_cli_loads_every_module_the_probe_hooks(monkeypatch):
     assert done.stdout.strip() == "[]"
 
 
+def readme_blocks():
+    """The code of every python block in README."""
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
 def readme_imports():
     """(module, name) of every `from esrc... import name` in README's python blocks."""
     found = []
-    for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S):
+    for block in readme_blocks():
         for node in ast.walk(ast.parse(block)):
             if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "esrc":
                 found += [(node.module, alias.name) for alias in node.names]
@@ -74,3 +81,19 @@ def test_readme_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_readme_python_blocks_run():
+    # a child process, with BLAS pinned as the CLI pins it; about 1 s
+    blocks = readme_blocks()
+    assert blocks, "README has no python block"
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(ROOT / "src"),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    for block in blocks:
+        done = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

@@ -9,7 +9,8 @@ a Tricomi confluent hypergeometric function.  The closed-form capacity
 needs e^x E_1(x) = U(1, 1, x) and the capacity MGF needs U(1, b, z) at
 complex b.  A single engine, _log_scaled_gamma, returns its logarithm on
 an array of real or complex orders nu, for one real z > 0 or a row of
-them.  Boolean masks split the (nu, z) pairs among four kernels:
+them.  Boolean masks, built from each order's quantities once and a
+column of z, split the (nu, z) pairs among four kernels:
 
 - the continued fraction's leading term, -log(z - nu), when Re nu <= 0
   and |nu| >= 2^30 (z + 1), where the remaining terms change the value
@@ -17,14 +18,16 @@ them.  Boolean masks split the (nu, z) pairs among four kernels:
 - the Kummer split Gamma(nu) minus the lower series, when |Im nu| or
   Re nu reach 2(z + 1), or when Re nu > max(z - 1, 0) away from the
   pole at nu = 0 (|nu| >= 1/2), where the split would cancel;
-- otherwise a modified Lentz continued fraction when z >= 1;
+- otherwise the continued fraction, evaluated backward, when z >= 1;
 - otherwise a power series about the anchor Gamma(nu, 1), summed in
   scaled form so that no power of z leaves the float range.
 
-The series and the fraction iterate on arrays with a convergence mask per
-element, checked every _BLOCK steps; converged elements leave the active
-set, so each loop ends when its slowest element converges.  The Kummer
-series runs once per z, and the fraction-bound pairs of every z share one
+The series iterate on arrays with a convergence mask per element, checked
+every _BLOCK steps; converged elements leave the active set, so each loop
+ends when its slowest element converges.  The fraction runs each element
+from its own depth, predicted from z and Im nu, and accepts it when the
+depth and depth + 8 agree; the rest run again deeper.  The Kummer series
+runs once per z, and the fraction-bound pairs of every z share one
 continued-fraction pass with the anchors Gamma(nu, 1) of the series, one
 anchor per distinct order.  The fraction yields the scaled quantity
 directly, so e^x E_1(x) stays exact far beyond the e^{-x} underflow
@@ -48,13 +51,11 @@ _LN_2PI = math.log(2.0 * math.pi)
 
 _MAX_CF_ITER = 60_000
 _MAX_SERIES_ITER = 10_000
-# iterations of the lower series and the continued fraction between
-# convergence checks
+# iterations of the lower series between convergence checks
 _BLOCK = 8
 _EPS = 1e-16
-# a continued-fraction step within one ulp of 1 has converged; rounding can
-# hold every later step at 1 - 2^-53, which is further from 1 than _EPS
-_CF_TOL = 2.0**-52
+# relative gap between the continued fraction at depths d and d + 8 it accepts
+_CF_TOL = 4.0 * 2.0**-52
 # orders with Re nu <= 0 and |nu| at least this multiple of z + 1 take the
 # continued fraction's leading term
 _LEADING_TERM_NU = 2.0**30
@@ -140,48 +141,47 @@ def _loggamma(z):
     return out
 
 
-def _lentz_cf(s, x):
+def _gamma_cf(s, x):
     """Scaled continued-fraction factors C with Gamma(s, x) = x^s e^{-x} C.
 
-    Modified Lentz iteration (Thompson & Barnett 1986) on the classical
-    continued fraction C = 1/(x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(x+5-s - ...))),
-    elementwise on 1-d arrays of real or complex orders s and positive
-    reals x of one length.  An element has converged once a step within
-    the last _BLOCK changed its value by at most _CF_TOL.
+    The classical continued fraction
+    C = 1/(x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(x+5-s - ...))), evaluated
+    backward, elementwise on 1-d arrays of real or complex orders s and
+    positive reals x of one length.  Each element starts at the depth
+    d = 8 + (86 + 8|Im s|)/x, which bounds the depth the acceptance test
+    needs when Re s <= 1 (90-119 at x = 1, 4-5 at x = 1000).  A sweep runs
+    the elements deepest first: row 1 of t starts at level d + 8, row 0 at
+    level d, and each level k sets t_{k-1} = x + 2k - 1 - s + k (s - k)/t_k
+    on the prefix of elements whose row 1 has started (row 0 repeats row
+    1's steps until its own start).  An element is accepted when its rows
+    agree to _CF_TOL; the others run again at twice the depth, up to
+    _MAX_CF_ITER.
     """
-    tiny = 1e-300
-    b = x + 1.0 - s
-    f = np.where(np.abs(b) > tiny, b, tiny)
-    c = f
-    d = np.zeros_like(f)
-    out = np.empty_like(f)
-    active = np.arange(f.size)
-    for n in range(1, _MAX_CF_ITER + 1, _BLOCK):
-        if active.size == 0:
-            break
-        live = np.ones(active.size, dtype=bool)
-        for k in range(n, n + _BLOCK):
-            a = k * (s - k)
-            b = b + 2.0
-            d = b + a * d
-            d[np.abs(d) < tiny] = tiny
-            c = b + a / c
-            c[np.abs(c) < tiny] = tiny
-            d = 1.0 / d
-            delta = c * d
-            # a converged element keeps its value for the rest of the block
-            np.multiply(f, delta, out=f, where=live)
-            live &= np.abs(delta - 1.0) > _CF_TOL
-        done = ~live
-        if done.any():
-            out[active[done]] = 1.0 / f[done]
-            keep = ~done
-            active, s, b, c, d, f = active[keep], s[keep], b[keep], c[keep], d[keep], f[keep]
-    if active.size:
-        raise NumericalError(
-            "incomplete gamma continued fraction did not converge "
-            f"(s={s[0]!r}, x={x[active[0]]!r})"
-        )
+    depth = np.fmin(np.ceil(8.0 + (86.0 + 8.0 * np.abs(np.imag(s))) / x), _MAX_CF_ITER)
+    todo = np.argsort(-depth, kind="stable")
+    out = np.empty(s.shape, dtype=np.result_type(s, x))
+    while todo.size:
+        order, rising = s[todo], -depth[todo]
+        base = x[todo] + 1.0 - order
+        t = np.stack([base + 2.0 * (8.0 - rising)] * 2)
+        levels = np.arange(8 - int(rising[0]), 0, -1)
+        started = np.searchsorted(rising, 8 - levels, side="right").tolist()
+        entered = np.searchsorted(rising, -levels, side="right").tolist()
+        low = 0
+        for k, m, high in zip(levels.tolist(), started, entered):
+            if high > low:
+                t[0, low:high] = base[low:high] + 2.0 * k
+                low = high
+            np.add(base[:m] + 2.0 * (k - 1), k * (order[:m] - k) / t[:, :m], out=t[:, :m])
+        done = np.abs(t[0] - t[1]) <= _CF_TOL * np.abs(t[0])
+        out[todo[done]] = 1.0 / t[1, done]
+        todo = todo[~done]
+        if todo.size and depth[todo[0]] >= _MAX_CF_ITER:
+            raise NumericalError(
+                "incomplete gamma continued fraction did not converge "
+                f"(s={s[todo[0]]!r}, x={x[todo[0]]!r})"
+            )
+        depth[todo] = np.fmin(2.0 * depth[todo], _MAX_CF_ITER)
     return out
 
 
@@ -310,42 +310,42 @@ def _log_scaled_gamma(nu, z):
     if not np.iscomplexobj(nu):
         nu = nu.astype(float)
     zs = np.asarray(z, dtype=float)
-    shape = (zs.size, nu.size)
-    v = np.broadcast_to(nu.ravel(), shape)
-    x = np.broadcast_to(zs.reshape(-1, 1), shape)
-    out = np.empty(shape, dtype=complex)
-
-    size = np.abs(v)
+    # the dispatch tests take each order's quantities once, against a column of z
+    nu_row, z_col = nu.ravel(), zs.reshape(-1, 1)
+    size = np.abs(nu_row)
     # halving is exact, and 2(z + 1) would overflow above z = 9e307
-    x1 = x + 1.0
-    leading = (v.real <= 0.0) & (size / _LEADING_TERM_NU >= x1)
+    x1 = z_col + 1.0
+    leading = (nu_row.real <= 0.0) & (size / _LEADING_TERM_NU >= x1)
     kummer = ~leading & (
-        (0.5 * np.abs(v.imag) >= x1)
-        | (0.5 * v.real >= x1)
-        | ((v.real > np.maximum(x - 1.0, 0.0)) & (size >= 0.5))
+        (0.5 * np.abs(nu_row.imag) >= x1)
+        | (0.5 * nu_row.real >= x1)
+        | ((nu_row.real > np.maximum(z_col - 1.0, 0.0)) & (size >= 0.5))
     )
-    lentz = ~(leading | kummer) & (x >= 1.0)
-    anchor = ~(leading | kummer | lentz)
+    fraction = ~(leading | kummer) & (z_col >= 1.0)
+    anchor = ~(leading | kummer | fraction)
+    shape = leading.shape
+    v, x = np.broadcast_to(nu_row, shape), np.broadcast_to(z_col, shape)
+    out = np.empty(shape, dtype=complex)
 
     out[leading] = -_log(x[leading] - v[leading])
     # log Gamma(nu) once per order that some z sends to the Kummer split
     log_gamma = np.empty(nu.size, dtype=complex)
     needed = kummer.any(axis=0)
-    log_gamma[needed] = _loggamma(nu.ravel()[needed])
+    log_gamma[needed] = _loggamma(nu_row[needed])
     for row, zk in enumerate(zs.ravel()):
         pick = kummer[row]
         if pick.any():
             out[row, pick] = _kummer_log_split(v[row, pick], zk, log_gamma[pick])
     # one continued-fraction pass for the fraction-bound pairs of every z and
     # for the anchors Gamma(nu, 1) of the series, one per distinct order
-    n_lentz = np.count_nonzero(lentz)
+    n_fraction = np.count_nonzero(fraction)
     orders, order_of = np.unique(v[anchor], return_inverse=True)
-    cf = _lentz_cf(
-        np.concatenate([v[lentz], orders]),
-        np.concatenate([x[lentz], np.ones(orders.size)]),
+    cf = _gamma_cf(
+        np.concatenate([v[fraction], orders]),
+        np.concatenate([x[fraction], np.ones(orders.size)]),
     )
-    out[lentz] = _log(cf[:n_lentz])
-    anchor_cf = cf[n_lentz:][order_of]
+    out[fraction] = _log(cf[:n_fraction])
+    anchor_cf = cf[n_fraction:][order_of]
     out[anchor] = x[anchor] + _log(_anchor_series(v[anchor], x[anchor], anchor_cf))
     return out.reshape(zs.shape + nu.shape)
 
@@ -377,7 +377,7 @@ def _gamma_cdf(a, x):
     low = x < a + 1.0 + 8.0 * math.sqrt(a + 1.0)
     p[low] = np.exp(log_factor[low]) * _lower_series(a, x[low])
     high = ~low
-    cf = _lentz_cf(np.full(np.count_nonzero(high), a), x[high])
+    cf = _gamma_cf(np.full(np.count_nonzero(high), a), x[high])
     p[high] = -np.expm1(log_factor[high] + np.log(cf))
     # rounding may carry the series a few ulps past 1
     return np.minimum(p, 1.0)

@@ -189,7 +189,7 @@ def exp_scaled_e1(x):
     if x >= 1.0:
         # the engine's kernel here, without the round trip through the log,
         # which costs up to |log x| ulps
-        return float(specfun._lentz_cf(np.zeros(1), np.array([x]))[0])
+        return float(specfun._gamma_cf(np.zeros(1), np.array([x]))[0])
     return math.exp(_log_scaled_gamma(0.0, x).real)
 
 

@@ -19,13 +19,16 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
+from esrc import specfun
 from esrc.analytic import BetaVector, default_capacity_grid
 from esrc.specfun import (
     EULER_A,
     EULER_NODES,
     LN2,
     LaplaceInversionError,
+    NumericalError,
     _gamma_cdf,
+    _gamma_cf,
     _log,
     _log_scaled_gamma,
     _loggamma,
@@ -237,7 +240,10 @@ class TestScaledGammaEngine:
 
     def test_pdf_10db_nodes_against_mpmath(self):
         # 300 (point, node, user) triples of the benchmark's 40-point table,
-        # drawn with seed 7; the worst error is 2.8e-14, at a Kummer node
+        # drawn with seed 7, and every (user, order) pair of the table that
+        # takes the anchor series: 47 orders, each for all 8 users.  The
+        # worst error is 2.8e-14, at a Kummer node, and 9.1e-16 on the anchor
+        # pairs (1.8e-15 with a forward Lentz fraction)
         betas = np.array([9.18, 8.36, 8.41, 8.35, 8.36, 8.34, 8.31, 9.14])
         grid = default_capacity_grid(BetaVector(betas), points=40)
         k = np.arange(EULER_NODES)
@@ -246,14 +252,26 @@ class TestScaledGammaEngine:
         z = 1.0 / betas
         got = _log_scaled_gamma(nu, z)
         pick = np.random.default_rng(7).choice(got.size, 300, replace=False)
-        worst = 0.0
+        # below z = 1 the orders that neither the Kummer split nor the
+        # leading term takes go to the anchor series
+        x1 = z[:, None] + 1.0
+        anchor = (
+            (0.5 * np.abs(nu.imag) < x1)
+            & (0.5 * nu.real < x1)
+            & ((nu.real <= 0.0) | (np.abs(nu) < 0.5))
+        )
+        assert np.count_nonzero(anchor) == 376
+        assert np.unique(np.broadcast_to(nu, got.shape)[anchor]).size == 47
+        pick = np.union1d(pick, np.flatnonzero(anchor))
+        err = np.zeros(got.shape)
         with mpmath.workdps(30):
             for row, col in zip(*np.unravel_index(pick, got.shape)):
                 x = mpmath.mpf(z[row])
                 order = mpmath.mpc(nu[col])
                 ref = mpmath.log(mpmath.gammainc(order, x)) + x - order * mpmath.log(x)
-                worst = max(worst, float(abs(mpmath.exp(got[row, col] - ref) - 1)))
-        assert worst <= 5e-14
+                err[row, col] = float(abs(mpmath.exp(got[row, col] - ref) - 1))
+        assert err.max() <= 5e-14
+        assert err[anchor].max() <= 1.5e-15
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, report_multiple_bugs=False)
@@ -272,6 +290,80 @@ def test_small_z_against_mpmath(re, im, z):
         x, order = mpmath.mpf(z), mpmath.mpc(nu)
         ref = mpmath.log(mpmath.gammainc(order, x)) + x - order * mpmath.log(x)
         assert float(abs(mpmath.exp(got - ref) - 1)) <= 5e-14
+
+
+def fraction_by_gammainc(s, x):
+    """Oracle: C(s, x) = e^x x^-s Gamma(s, x) from mpmath's gammainc at 40 digits."""
+    with mpmath.workdps(40):
+        order, arg = mpmath.mpc(s), mpmath.mpf(x)
+        return complex(mpmath.gammainc(order, arg) * mpmath.exp(arg) * arg**-order)
+
+
+def fraction_by_quadrature(s, x):
+    """Oracle: C(s, x) = int_0^inf (1 + u)^(s - 1) e^(-x u) du by mpmath at 40 digits.
+
+    mpmath's gammainc is wrong here for Re s below about -400 once x passes
+    about 100, at 40 digits and at 300 (1e-12 to 1e181 relative, or inf).
+    """
+    with mpmath.workdps(40):
+        order, arg = mpmath.mpc(s), mpmath.mpf(x)
+        return complex(mpmath.quad(
+            lambda u: mpmath.exp((order - 1) * mpmath.log1p(u) - arg * u),
+            [0, 1 / arg, 10 / arg, mpmath.inf],
+        ))
+
+
+# The continued fraction C(s, x) against mpmath, on the box of the anchors
+# Gamma(s, 1) and on the region the dispatch sends to the fraction.  Over
+# 400 random points of each, the worst errors measured are 2.7e-16 and
+# 4.5e-16, and 1.1e-15 on 400 more within about 5 of Re s = x - 1; a
+# forward Lentz iteration read 9.2e-15, 1.8e-15 and 5.9e-15 there.
+@settings(derandomize=True, max_examples=150, deadline=None, report_multiple_bugs=False)
+@given(
+    re=st.floats(min_value=-40.0, max_value=0.5),
+    im=st.floats(min_value=-2.25, max_value=2.25),
+)
+def test_fraction_anchors_against_mpmath(re, im):
+    s = complex(re, im)
+    got = complex(_gamma_cf(np.array([s]), np.ones(1))[0])
+    assert abs(got / fraction_by_gammainc(s, 1.0) - 1.0) <= 2e-15
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, report_multiple_bugs=False)
+@given(
+    x=st.floats(min_value=1.0, max_value=1e3),
+    below=st.floats(min_value=0.0, max_value=1.0),
+    im=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_fraction_region_against_mpmath(x, below, im):
+    # Re s from max(x - 1, 0) down to -1e3, |Im s| < 2(x + 1)
+    top = max(x - 1.0, 0.0)
+    s = complex(top - below * (top + 1e3), im * 2.0 * (x + 1.0))
+    got = complex(_gamma_cf(np.array([s]), np.array([x]))[0])
+    assert abs(got / fraction_by_quadrature(s, x) - 1.0) <= 2e-15
+
+
+def test_fraction_batch_keeps_each_elements_bits():
+    # every element runs at its own depth, so its neighbours, their order
+    # and their retries change none of its bits.  Orders near x - 1 need
+    # more than the first depth, real orders run in real arithmetic
+    rng = np.random.default_rng(11)
+    x = np.exp(rng.uniform(0.0, math.log(1e3), 120))
+    real = np.maximum(x - 1.0, 0.0) - rng.exponential(30.0, x.size)
+    s = real + 1j * rng.uniform(-2.0, 2.0, x.size) * (x + 1.0) * (rng.random(x.size) < 0.7)
+    for orders in (s, real):
+        batch = _gamma_cf(orders, x)
+        assert np.array_equal(batch[::-1], _gamma_cf(orders[::-1], x[::-1]))
+        for value, si, xi in zip(batch, orders, x):
+            assert value == _gamma_cf(np.array([si]), np.array([xi]))[0]
+
+
+def test_fraction_that_does_not_converge_names_its_order(monkeypatch):
+    # x = 1 needs about 100 levels
+    monkeypatch.setattr(specfun, "_MAX_CF_ITER", 16)
+    message = r"did not converge \(s=.*\(-0\.5\+1j\), x=.*\(1\.0\)\)"
+    with pytest.raises(NumericalError, match=message):
+        _gamma_cf(np.array([-0.5 + 1j]), np.ones(1))
 
 
 def test_negative_integer_orders_against_mpmath():

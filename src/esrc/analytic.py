@@ -36,9 +36,10 @@ GRID_MAX_BITS = 64.0
 GRID_MIN_BITS = 1e-305
 _TAIL_MASS = 1e-6
 # (user, Euler node) pairs per transform call, each node counting as
-# _NODE_PAIRS pairs more: a call holds 52-65 bytes per pair and about 220 per
-# node.  Under tracemalloc, 8,192 points peak at 13-16 MB per call for any
-# user count from 1 to 64
+# _NODE_PAIRS pairs more.  Under tracemalloc a call holds about 26 bytes per
+# pair and 200 per node (a least-squares fit over 1 to 64 users), so one
+# full call peaks at 12 MB for one user and 7.4 MB for 64, and 8,192 points
+# at 9.9-15.1 MB for any user count from 1 to 64
 _PAIRS_PER_CALL = 2**18
 _NODE_PAIRS = 4
 

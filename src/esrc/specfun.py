@@ -26,18 +26,24 @@ The series iterate on arrays with a convergence mask per element, checked
 every _BLOCK steps; converged elements leave the active set, so each loop
 ends when its slowest element converges.  The fraction runs each element
 from its own depth, predicted from z and Im nu, and accepts it when the
-depth and depth + 8 agree; the rest run again deeper.  The Kummer series
-runs once per z, and the fraction-bound pairs of every z share one
-continued-fraction pass with the anchors Gamma(nu, 1) of the series, one
-anchor per distinct order.  The fraction yields the scaled quantity
-directly, so e^x E_1(x) stays exact far beyond the e^{-x} underflow
-point.  The Kummer split takes Gamma(nu) from _loggamma, a Stirling
-series with a recurrence shift and reflection, evaluated once per order
-for every z.  Every complex array logarithm is taken as log|z| + i arg z
-from two real ufuncs (_log); real arrays keep np.log.  The closed form's
-e^x E_1(x) is the engine at nu = 0, and the Euler Laplace inversion
-completes the module.  The regularized lower incomplete gamma P(a, x) of
-the gamma fit reuses the lower series and the fraction.
+depth and depth + 8 agree; the rest run again deeper.  Its level terms
+are taken as 2-D runs of levels while a run fits in _LEVEL_BYTES, and one
+level at a time beyond.  The Kummer split runs once per call, in chunks
+of orders over bands of z (_bands).  Within a band its lower series takes
+each order's terms once, at the largest z that picks the order, and hands
+them to the band's other z through a matrix product (_lower_table), so a
+pair's value may depend on the other z of its call.  The fraction-bound
+pairs of every z share one continued-fraction pass with the anchors
+Gamma(nu, 1) of the series, one anchor per distinct order.  The fraction
+yields the scaled quantity directly, so e^x E_1(x) stays exact far beyond
+the e^{-x} underflow point.  The Kummer split takes Gamma(nu) from
+_loggamma, a Stirling series with a recurrence shift and reflection,
+evaluated once per order for every z.  Every complex array logarithm is
+taken as log|z| + i arg z from two real ufuncs (_log); real arrays keep
+np.log.  The closed form's e^x E_1(x) is the engine at nu = 0, and the
+Euler Laplace inversion completes the module.  The regularized lower
+incomplete gamma P(a, x) of the gamma fit reuses the lower series and the
+fraction.
 """
 
 from __future__ import annotations
@@ -53,6 +59,13 @@ _MAX_CF_ITER = 60_000
 _MAX_SERIES_ITER = 10_000
 # iterations of the lower series between convergence checks
 _BLOCK = 8
+# bytes of each (z, order) array of one chunk of the Kummer split: below
+# glibc's 128 KiB mmap threshold, numpy's temporaries reuse heap pages
+# instead of faulting fresh ones in on every call
+_CHUNK_BYTES = 2**16
+# bytes of each 2-D run of the continued fraction's level terms: runs wider
+# than the first-level cache lose to terms taken one level at a time
+_LEVEL_BYTES = 2**14
 _EPS = 1e-16
 # relative gap between the continued fraction at depths d and d + 8 it accepts
 _CF_TOL = 4.0 * 2.0**-52
@@ -153,26 +166,46 @@ def _gamma_cf(s, x):
     the elements deepest first: row 1 of t starts at level d + 8, row 0 at
     level d, and each level k sets t_{k-1} = x + 2k - 1 - s + k (s - k)/t_k
     on the prefix of elements whose row 1 has started (row 0 repeats row
-    1's steps until its own start).  An element is accepted when its rows
-    agree to _CF_TOL; the others run again at twice the depth, up to
-    _MAX_CF_ITER.
+    1's steps until its own start).  The terms x + 2k - 1 - s and k (s - k)
+    of a run of levels are taken as 2-D blocks of at most _LEVEL_BYTES
+    each, so a narrow sweep costs about two numpy calls per level.  An
+    element is accepted when its rows agree to _CF_TOL; the others run
+    again at twice the depth, up to _MAX_CF_ITER.
     """
     depth = np.fmin(np.ceil(8.0 + (86.0 + 8.0 * np.abs(np.imag(s))) / x), _MAX_CF_ITER)
     todo = np.argsort(-depth, kind="stable")
     out = np.empty(s.shape, dtype=np.result_type(s, x))
+    cap = _LEVEL_BYTES // out.itemsize
     while todo.size:
         order, rising = s[todo], -depth[todo]
         base = x[todo] + 1.0 - order
         t = np.stack([base + 2.0 * (8.0 - rising)] * 2)
         levels = np.arange(8 - int(rising[0]), 0, -1)
+        # in the result's dtype, so that no broadcast below runs numpy's casting loop
+        shift, ks = (2.0 * (levels - 1)).astype(out.dtype), levels.astype(out.dtype)
         started = np.searchsorted(rising, 8 - levels, side="right").tolist()
         entered = np.searchsorted(rising, -levels, side="right").tolist()
-        low = 0
-        for k, m, high in zip(levels.tolist(), started, entered):
+        low = end = 0
+        for i, (k, m, high) in enumerate(zip(levels.tolist(), started, entered)):
+            if i == end:
+                # the next run of levels whose terms x + 2k - 1 - s and
+                # k (s - k) fit in cap elements each, taken as 2-D blocks
+                first, end = i, i + 1
+                while end < levels.size and (end + 1 - first) * started[end] <= cap:
+                    end += 1
+                if end - first > 1:
+                    width, k_col = started[end - 1], ks[first:end, None]
+                    steps = base[:width] + shift[first:end, None]
+                    coef = k_col * (order[:width] - k_col)
             if high > low:
                 t[0, low:high] = base[low:high] + 2.0 * k
                 low = high
-            np.add(base[:m] + 2.0 * (k - 1), k * (order[:m] - k) / t[:, :m], out=t[:, :m])
+            if end - first > 1:
+                np.add(steps[i - first, :m], coef[i - first, :m] / t[:, :m], out=t[:, :m])
+            else:
+                # a level alone keeps the 1-d form, whose wide temporaries
+                # numpy reuses in place
+                np.add(base[:m] + 2.0 * (k - 1), k * (order[:m] - k) / t[:, :m], out=t[:, :m])
         done = np.abs(t[0] - t[1]) <= _CF_TOL * np.abs(t[0])
         out[todo[done]] = 1.0 / t[1, done]
         todo = todo[~done]
@@ -267,19 +300,101 @@ def _lower_series(nu, z):
     return out
 
 
-def _kummer_log_split(nu, z, log_gamma):
+def _bands(z):
+    """Index arrays that split a 1-d array of z into bands, largest z first.
+
+    A band runs from its largest z, t, down to t/2, or down to 0 when t <= 2.
+    The lower series needs a number of terms that grows with z above 1 and
+    stays small below, so the z of one band need about as many.
+    """
+    desc = np.argsort(-z, kind="stable")
+    bands, first = [], 0
+    for i in range(1, z.size + 1):
+        if i == z.size or 2.0 * max(z[desc[i]], 1.0) < z[desc[first]]:
+            bands.append(desc[first:i])
+            first = i
+    return bands
+
+
+def _lower_table(nu, z, zeta):
+    """_lower_series on a (z, order) grid, each order's terms computed once.
+
+    nu is a 1-d array of complex orders, z a 1-d array of positive reals
+    and zeta, per order, the largest z that sends it to the Kummer split,
+    or 0 where none does (at least one does).  The Kummer conditions hold
+    below some z, so an order's pairs are every z <= zeta outside the
+    leading-term region.  Its terms are taken once, at zeta, as
+    a_n = zeta^n / (nu (nu + 1) ... (nu + n)), and every z <= zeta gets
+    sum_n a_n (z/zeta)^n.  Every power is at most 1, so no term leaves the
+    float range that the series at zeta keeps.  Each _BLOCK terms of the
+    orders that share a zeta cost one real matrix product of the powers
+    with the coefficients.  An order leaves when its block's last
+    coefficient is below _EPS of its smallest total.  Entries above zeta,
+    and columns with zeta = 0, are left unspecified.
+    """
+    if z.size == 1:
+        # one z has nothing to share: its orders run the plain series
+        out = np.empty((1, nu.size), dtype=complex)
+        out[0, zeta > 0.0] = _lower_series(nu[zeta > 0.0], z[0])
+        return out
+    active = np.argsort(zeta, kind="stable")
+    active = active[np.count_nonzero(zeta == 0.0) :]
+    order, top = nu[active], zeta[active]
+    # a complex zeta keeps numpy's division off its casting loop
+    zeta = top.astype(complex)
+    tops = top[np.flatnonzero(np.diff(top, prepend=0.0))]
+    below = z[:, None] <= tops
+    ratio = np.divide(z[:, None], tops, out=np.zeros(below.shape), where=below)
+    total = np.zeros((z.size, active.size), dtype=complex)
+    table = np.empty((_BLOCK, active.size), dtype=complex)
+    last, left, parts = 1.0, [], []
+    for n in range(0, _MAX_SERIES_ITER, _BLOCK):
+        # the block's factors zeta / (nu + k) in one pass, then their
+        # running product
+        f = zeta / (order + np.arange(n, n + _BLOCK, dtype=complex)[:, None])
+        if n == 0:
+            f[0] = 1.0 / order
+        for k, row in enumerate(table):
+            np.multiply(table[k - 1] if k else last, f[k], out=row)
+        last = table[-1]
+        power = ratio[:, :, None] ** np.arange(n, n + _BLOCK)
+        flat_total, flat_table = total.view(float), table.view(float)
+        # the orders of one zeta are a run of active
+        edges = (2 * np.searchsorted(top, [*tops, math.inf])).tolist()
+        for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            if hi > lo:
+                flat_total[:, lo:hi] += power[:, g] @ flat_table[:, lo:hi]
+        # every power is at most 1, so this bounds the last term on every z
+        done = np.abs(last) < _EPS * np.abs(total).min(axis=0)
+        if done.any():
+            left.append(active.compress(done))
+            parts.append(total.compress(done, axis=1))
+            keep = ~done
+            active, order, top, zeta, last = (
+                v.compress(keep) for v in (active, order, top, zeta, last)
+            )
+            if not active.size:
+                out = np.empty((z.size, nu.size), dtype=complex)
+                out.T[np.concatenate(left)] = np.concatenate(parts, axis=1).T
+                return out
+            # compress keeps it C-ordered, as its real view needs
+            total, table = total.compress(keep, axis=1), table[:, : active.size]
+    raise NumericalError(f"lower gamma series stalled (nu={order[0]!r}, z={top[0]!r})")
+
+
+def _kummer_log_split(nu, z, log_gamma, lower):
     """log U(1, nu + 1, z) through Gamma(nu) minus the lower-gamma series.
 
-    nu is a 1-d array of orders, log_gamma their log Gamma(nu) and z one
-    positive real.  The scaled lower part is _lower_series.  All pieces
-    are kept in log space so very large |Re(nu) * ln z| never overflows.
+    1-d arrays of one length: the orders nu, positive reals z, log
+    Gamma(nu) and the scaled lower part e^z z^{-nu} gamma(nu, z).  All
+    pieces are kept in log space so very large |Re(nu) * ln z| never
+    overflows.
     """
-    nu = nu.astype(complex)
     # log of the scaled e^z z^{-nu} Gamma(nu)
-    lg_gamma = log_gamma + z - nu * math.log(z)
-    lg_lower = _log(_lower_series(nu, z))
+    lg_gamma = log_gamma + z - nu * np.log(z)
+    lg_lower = _log(lower)
     d = lg_lower - lg_gamma
-    out = np.empty_like(nu)
+    out = np.empty_like(d)
     # Gamma(nu) is negligible next to the lower part
     big = d.real > 36.0
     out[big] = lg_lower[big] + 1j * math.pi + _log(1.0 - np.exp(-d[big]))
@@ -291,7 +406,7 @@ def _kummer_log_split(nu, z, log_gamma):
     if cancel.any():
         raise NumericalError(
             "catastrophic cancellation in Gamma(nu, z) split "
-            f"(nu={nu[mid][cancel][0]!r}, z={z!r})"
+            f"(nu={nu[mid][cancel][0]!r}, z={z[mid][cancel][0]!r})"
         )
     out[mid] = lg_gamma[mid] + _log(w)
     return out
@@ -328,14 +443,32 @@ def _log_scaled_gamma(nu, z):
     out = np.empty(shape, dtype=complex)
 
     out[leading] = -_log(x[leading] - v[leading])
-    # log Gamma(nu) once per order that some z sends to the Kummer split
-    log_gamma = np.empty(nu.size, dtype=complex)
+    # the Kummer split, with log Gamma(nu) taken once per order that some z
+    # sends to it.  The lower series shares its terms among the z of a band,
+    # so that every row of a band needs about as many terms, and each band
+    # runs in chunks of orders
     needed = kummer.any(axis=0)
+    log_gamma = np.empty(nu_row.size, dtype=complex)
     log_gamma[needed] = _loggamma(nu_row[needed])
-    for row, zk in enumerate(zs.ravel()):
-        pick = kummer[row]
-        if pick.any():
-            out[row, pick] = _kummer_log_split(v[row, pick], zk, log_gamma[pick])
+    flat = out.reshape(-1)
+    for rows in _bands(z_col[:, 0]):
+        band, zb = kummer[rows], z_col[rows]
+        # equal chunks, each (z, order) array within _CHUNK_BYTES
+        chunks = max(1, -(-16 * band.size // _CHUNK_BYTES))
+        width = max(1, -(-nu_row.size // chunks))
+        for lo in range(0, nu_row.size, width):
+            pick = band[:, lo : lo + width]
+            if not pick.any():
+                continue
+            orders = nu_row[lo : lo + width].astype(complex)
+            zeta = np.where(pick, zb, 0.0).max(axis=0)
+            values = _kummer_log_split(
+                np.broadcast_to(orders, pick.shape)[pick],
+                np.broadcast_to(zb, pick.shape)[pick],
+                np.broadcast_to(log_gamma[lo : lo + width], pick.shape)[pick],
+                _lower_table(orders, zb[:, 0], zeta)[pick],
+            )
+            flat[(rows[:, None] * nu_row.size + np.arange(lo, lo + orders.size))[pick]] = values
     # one continued-fraction pass for the fraction-bound pairs of every z and
     # for the anchors Gamma(nu, 1) of the series, one per distinct order
     n_fraction = np.count_nonzero(fraction)
@@ -357,10 +490,13 @@ def _gamma_cdf(a, x):
     series gives P below x = a + 1 + 8 sqrt(a + 1), and the continued
     fraction 1 - P above, each times x^a e^{-x} / Gamma(a).  The gamma(a)
     law has mean and variance a, so the series takes a whole sample bar a
-    far tail: in numpy a series term costs a fifth of a fraction step, and
-    its term count, about x - a + 8.5 sqrt(x), stays small there.  The
-    factor is taken as (x/a)^a e^{a - x} times a^a e^{-a} / Gamma(a), with
-    log(x/a) as log1p(t), t = (x - a)/a, where x >= a/2 makes x - a exact.
+    far tail: in numpy a series term costs about a third of a fraction
+    level per element (3 ns against 10-11 ns at a = 50), and its term
+    count, about x - a + 8.5 sqrt(x), stays small there.  The switch is
+    kept where it was first set, so that fitted statistics keep their
+    bits.  The factor is taken as (x/a)^a e^{a - x} times a^a e^{-a} /
+    Gamma(a), with log(x/a) as log1p(t), t = (x - a)/a, where x >= a/2
+    makes x - a exact.
     For a >= _STIRLING_MIN the constant comes from the Stirling series, so
     no logarithm of size a ln a has to cancel.
     """

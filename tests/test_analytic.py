@@ -303,10 +303,13 @@ class TestCapacityPdf:
         )
         assert np.array_equal(capacity_pdf(b, grid), whole)
 
-    def test_one_user_long_grid_peaks_below_20_mb(self):
+    @pytest.mark.parametrize("beta", [8.0, 0.01, 1e-3])
+    def test_one_user_long_grid_peaks_below_20_mb(self, beta):
         # each block's per-node arrays are counted: sized by (user, node)
-        # pairs alone, one user's 8,192 points peaked at 70 MB in one call
-        b = BetaVector([8.0])
+        # pairs alone, one user's 8,192 points peaked at 70 MB in one call.
+        # At beta 0.01 and 1e-3 thousands of orders take the continued
+        # fraction (z = 100 and 1000), whose level terms are held in blocks
+        b = BetaVector([beta])
         grid = np.linspace(0.01, 40.0, 8192)
         tracemalloc.start()
         try:

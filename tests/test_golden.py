@@ -56,7 +56,7 @@ def test_run_csv_bytes(tmp_path, preset, extra, digest):
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--points", "40"], "4f8d5c1709d4cf066fab337475e91dea5fbccc9ec9b59685c6072ba3f0351882"),
+        (["--points", "40"], "39538a0c5f68eb872f5b35831dbcd7b8a98bc98c218c45d9e25d5a9969bee2f9"),
         (
             ["--grid-max", "8", "--points", "64"],
             "bd452f47b8687b6e090f9208a553eccd6426e2253e88537cbfa69caf6f72c9b0",

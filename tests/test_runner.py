@@ -606,6 +606,26 @@ class TestCli:
         )
         assert done.stdout.strip() == "[]"
 
+    def test_pdf_and_full_fit_runs_load_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs 11-25 ms to import, more than the whole density of
+        # the 10 dB betas: np.unique without a return_* flag loads it
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text(tiny_doc())
+        code = (
+            "import sys; from esrc.cli import main; "
+            "main(['pdf', '--betas', '9.18,8.36,8.41,8.35,8.36,8.34,8.31,9.14', "
+            "'--points', '40', "
+            f"'--out', {str(tmp_path / 'pdf.dat')!r}]); "
+            f"main(['run', '--config', {str(cfg)!r}, '--full-fit', "
+            f"'--out', {str(tmp_path / 'run.csv')!r}]); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
+
     def test_import_pins_blas_threads_unless_set(self):
         # pinned, BLAS starts no thread, so the Monte Carlo kernel may fork
         # one worker per CPU

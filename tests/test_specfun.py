@@ -40,6 +40,7 @@ from oracles import (
     gm_pdf,
     per_user_capacity_quadrature,
     scalar_invert_laplace,
+    scalar_log_scaled_gamma,
     tricomi_u1,
     upper_incomplete_gamma,
 )
@@ -399,6 +400,54 @@ def test_gamma_capacity_sum_against_quadrature():
         for order in range(1, 34):
             ref = LN2 * per_user_capacity_quadrature(beta, order)
             assert abs(capacity[row, order - 1] / ref - 1.0) <= 1e-12, (beta, order)
+
+
+def straddling_orders(z):
+    """Orders just inside and just outside each Kummer boundary of every z.
+
+    The boundaries are |Im nu| = 2(z + 1), Re nu = 2(z + 1), Re nu = max(z - 1, 0)
+    and, while z < 3/2, |nu| = 1/2.  Each side sits 1e-6 (relative) from it.
+    """
+    orders = []
+    for zk in z:
+        bound, edge = 2.0 * (zk + 1.0), max(zk - 1.0, 0.0)
+        for side in (1.0 - 1e-6, 1.0 + 1e-6):
+            orders += [complex(re, sign * bound * side) for re in (-2.5, 0.3) for sign in (1, -1)]
+            orders += [complex(bound * side, im) for im in (0.0, 0.7)]
+            orders += [complex(edge * side + (side - 1.0), im) for im in (0.9, -0.9)]
+            if edge > 0.5:
+                orders.append(complex(edge * side, 0.0))
+            if zk < 1.5:
+                orders.append(0.5 * side * cmath.exp(0.3j))
+    return np.array(orders)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        np.logspace(-6.0, 6.0, 8),
+        1.0 / np.array([9.18, 8.36, 8.41, 8.35, 8.36, 8.34, 8.31, 9.14]),
+        np.array([0.37]),
+        1.0 / np.linspace(7.9, 9.3, 64),
+    ],
+    ids=["spread", "10db", "one-row", "64-rows"],
+)
+def test_shared_lower_series_against_the_scalar_engine(z):
+    # the Kummer split's lower series takes each order's terms once, at the
+    # largest z that picks it, and shares them with the smaller z of its
+    # band: the spread case's four z below 2 span five decades.  The
+    # 64-row case straddles the boundaries of four of its rows.
+    # A logarithm of size L carries a rounding error near L 2^-52 in any
+    # float engine (at nu = 747.5 + 0.7i, log Gamma(nu) is about 4200), so
+    # the bound scales with max(1, L).  The worst case measured is 1.3e-14
+    rows = z if z.size < 64 else z[::21]
+    nu = straddling_orders(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _log_scaled_gamma(nu, z)
+    ref = np.array([[scalar_log_scaled_gamma(order, zk) for order in nu] for zk in z])
+    err = np.abs(np.exp(got - ref) - 1.0) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 5e-14
 
 
 # every complex number with a zero, infinite or NaN part from these

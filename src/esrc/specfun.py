@@ -27,23 +27,23 @@ every _BLOCK steps; converged elements leave the active set, so each loop
 ends when its slowest element converges.  The fraction runs each element
 from its own depth, predicted from z and Im nu, and accepts it when the
 depth and depth + 8 agree; the rest run again deeper.  Its level terms
-are taken as 2-D runs of levels while a run fits in _LEVEL_BYTES, and one
-level at a time beyond.  The Kummer split runs once per call, in chunks
-of orders over bands of z (_bands).  Within a band its lower series takes
-each order's terms once, at the largest z that picks the order, and hands
-them to the band's other z through a matrix product (_lower_table), so a
-pair's value may depend on the other z of its call.  The fraction-bound
-pairs of every z share one continued-fraction pass with the anchors
-Gamma(nu, 1) of the series, one anchor per distinct order.  The fraction
-yields the scaled quantity directly, so e^x E_1(x) stays exact far beyond
-the e^{-x} underflow point.  The Kummer split takes Gamma(nu) from
-_loggamma, a Stirling series with a recurrence shift and reflection,
-evaluated once per order for every z.  Every complex array logarithm is
-taken as log|z| + i arg z from two real ufuncs (_log); real arrays keep
-np.log.  The closed form's e^x E_1(x) is the engine at nu = 0, and the
-Euler Laplace inversion completes the module.  The regularized lower
-incomplete gamma P(a, x) of the gamma fit reuses the lower series and the
-fraction.
+are taken as 2-D runs of levels while a run fits in _LEVEL_BYTES; a level
+wider than that is a run of its own.  The Kummer split runs once per call,
+in chunks of orders over bands of z (_bands).  Within a band its lower
+series takes each order's terms once, at the largest z that picks the
+order, and hands them to the band's other z through a matrix product
+(_lower_table), so a pair's value may depend on the other z of its call.
+The fraction-bound pairs of every z share one continued-fraction pass with
+the anchors Gamma(nu, 1) of the series, one anchor per distinct order.
+The fraction yields the scaled quantity directly, so e^x E_1(x) stays
+exact far beyond the e^{-x} underflow point.  The Kummer split takes
+Gamma(nu) from _loggamma, a Stirling series with a recurrence shift and
+reflection, evaluated once per order for every z.  Every complex array
+logarithm is taken as log|z| + i arg z from two real ufuncs (_log); real
+arrays keep np.log.  The closed form's e^x E_1(x) is the engine at
+nu = 0, and the Euler Laplace inversion completes the module.  The
+regularized lower incomplete gamma P(a, x) of the gamma fit reuses the
+lower series and the fraction.
 """
 
 from __future__ import annotations
@@ -168,9 +168,10 @@ def _gamma_cf(s, x):
     on the prefix of elements whose row 1 has started (row 0 repeats row
     1's steps until its own start).  The terms x + 2k - 1 - s and k (s - k)
     of a run of levels are taken as 2-D blocks of at most _LEVEL_BYTES
-    each, so a narrow sweep costs about two numpy calls per level.  An
-    element is accepted when its rows agree to _CF_TOL; the others run
-    again at twice the depth, up to _MAX_CF_ITER.
+    each, or of one level where a level alone is wider, so a narrow sweep
+    costs about two numpy calls per level.  An element is accepted when its
+    rows agree to _CF_TOL; the others run again at twice the depth, up to
+    _MAX_CF_ITER.
     """
     depth = np.fmin(np.ceil(8.0 + (86.0 + 8.0 * np.abs(np.imag(s))) / x), _MAX_CF_ITER)
     todo = np.argsort(-depth, kind="stable")
@@ -193,19 +194,13 @@ def _gamma_cf(s, x):
                 first, end = i, i + 1
                 while end < levels.size and (end + 1 - first) * started[end] <= cap:
                     end += 1
-                if end - first > 1:
-                    width, k_col = started[end - 1], ks[first:end, None]
-                    steps = base[:width] + shift[first:end, None]
-                    coef = k_col * (order[:width] - k_col)
+                width, k_col = started[end - 1], ks[first:end, None]
+                steps = base[:width] + shift[first:end, None]
+                coef = k_col * (order[:width] - k_col)
             if high > low:
                 t[0, low:high] = base[low:high] + 2.0 * k
                 low = high
-            if end - first > 1:
-                np.add(steps[i - first, :m], coef[i - first, :m] / t[:, :m], out=t[:, :m])
-            else:
-                # a level alone keeps the 1-d form, whose wide temporaries
-                # numpy reuses in place
-                np.add(base[:m] + 2.0 * (k - 1), k * (order[:m] - k) / t[:, :m], out=t[:, :m])
+            np.add(steps[i - first, :m], coef[i - first, :m] / t[:, :m], out=t[:, :m])
         done = np.abs(t[0] - t[1]) <= _CF_TOL * np.abs(t[0])
         out[todo[done]] = 1.0 / t[1, done]
         todo = todo[~done]
@@ -310,7 +305,8 @@ def _bands(z):
     desc = np.argsort(-z, kind="stable")
     bands, first = [], 0
     for i in range(1, z.size + 1):
-        if i == z.size or 2.0 * max(z[desc[i]], 1.0) < z[desc[first]]:
+        # halving is exact, and doubling would overflow above z = 9e307
+        if i == z.size or max(z[desc[i]], 1.0) < 0.5 * z[desc[first]]:
             bands.append(desc[first:i])
             first = i
     return bands
@@ -357,13 +353,14 @@ def _lower_table(nu, z, zeta):
         for k, row in enumerate(table):
             np.multiply(table[k - 1] if k else last, f[k], out=row)
         last = table[-1]
-        power = ratio[:, :, None] ** np.arange(n, n + _BLOCK)
+        exponents = np.arange(n, n + _BLOCK)
         flat_total, flat_table = total.view(float), table.view(float)
         # the orders of one zeta are a run of active
         edges = (2 * np.searchsorted(top, [*tops, math.inf])).tolist()
         for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
             if hi > lo:
-                flat_total[:, lo:hi] += power[:, g] @ flat_table[:, lo:hi]
+                power = ratio[:, g, None] ** exponents
+                flat_total[:, lo:hi] += power @ flat_table[:, lo:hi]
         # every power is at most 1, so this bounds the last term on every z
         done = np.abs(last) < _EPS * np.abs(total).min(axis=0)
         if done.any():

@@ -860,9 +860,10 @@ class TestCli:
         [
             (["--betas", "1e-310,2", "--points", "8"], 2),
             (["--betas", "1e-308,2", "--points", "8"], 0),
+            (["--betas", "1e-308,1e-308,2", "--points", "8"], 0),
             (["--betas", "1e-300", "--grid-max", "8", "--points", "8"], 0),
         ],
-        ids=["1e-310", "1e-308", "1e-300-grid-max"],
+        ids=["1e-310", "1e-308", "two-1e-308", "1e-300-grid-max"],
     )
     def test_pdf_tiny_betas_warn_nothing(self, argv, code, capsys):
         # 1/1e-310 overflows and is rejected by name; 1e-308 and 1e-300 overflow

@@ -3,12 +3,26 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import logging
 import os
 import sys
 
+import esrc
 from esrc.analytic import BetaVector, capacity_pdf, default_capacity_grid
-from esrc.runner import PRESET_NAMES, ConfigError, emit_csv, parse_config, run_sweep, write_text
+
+# `esrc pdf` never runs the Monte Carlo stack, so these modules run only on
+# first attribute access. They are registered now, not imported later, so
+# that a caller can still wrap their functions right after `import esrc.cli`.
+for _name in ("runner", "zf", "statfit"):
+    if f"esrc.{_name}" not in sys.modules:
+        _spec = importlib.util.find_spec(f"esrc.{_name}")
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        sys.modules[_spec.name] = _module = importlib.util.module_from_spec(_spec)
+        setattr(esrc, _name, _module)
+        _spec.loader.exec_module(_module)
+# runner.PRESETS' names, listed so `--help` runs no runner; a test holds them equal
+_PRESET_CHOICES = ("fig1", "fig2", "fig3", "none")
 
 
 def _build_parser():
@@ -26,7 +40,7 @@ def _build_parser():
     run_p.add_argument("--config", required=True, help="path to the sweep configuration document")
     run_p.add_argument(
         "--preset",
-        choices=PRESET_NAMES + ("none",),
+        choices=_PRESET_CHOICES,
         default=None,
         help="override the document's preset",
     )
@@ -64,12 +78,43 @@ def _build_parser():
 def _parse_betas(raw):
     items = [item.strip() for item in raw.split(",")]
     if any(not item for item in items):
-        raise ConfigError(f"empty entry in --betas list {raw!r}")
+        raise ValueError(f"empty entry in --betas list {raw!r}")
     try:
         values = [float(item) for item in items]
     except ValueError:
-        raise ConfigError(f"--betas must be comma-separated reals, got {raw!r}") from None
+        raise ValueError(f"--betas must be comma-separated reals, got {raw!r}") from None
     return values
+
+
+def parse_config(text, **overrides):
+    return esrc.runner.parse_config(text, **overrides)
+
+
+def run_sweep(plan, full_fit=False):
+    return esrc.runner.run_sweep(plan, full_fit=full_fit)
+
+
+def write_text(text, destination):
+    """Write a finished table to the path `destination`, or to stdout when it is None."""
+    if destination is None:
+        sys.stdout.write(text)
+        return
+    with open(destination, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
+
+
+def emit_csv(rows, destination):
+    """Write the CSV table; reruns of the same plan are byte-identical."""
+    write_text(esrc.runner.render_csv(rows), destination)
+
+
+def _check_destination(destination):
+    """Fail on an unwritable `--out` before any work runs, leaving no file behind."""
+    if destination is not None:
+        existed = os.path.lexists(destination)
+        open(destination, "a").close()
+        if not existed:
+            os.remove(destination)
 
 
 def _cmd_run(args):
@@ -82,13 +127,7 @@ def _cmd_run(args):
         seed=args.seed,
         allow_extended=args.allow_extended,
     )
-    if args.out is not None:
-        # an unwritable destination fails here, before any point runs; "a"
-        # truncates nothing, and a file created for the check is removed
-        existed = os.path.lexists(args.out)
-        open(args.out, "a").close()
-        if not existed:
-            os.remove(args.out)
+    _check_destination(args.out)
     rows = run_sweep(plan, full_fit=args.full_fit)
     emit_csv(rows, args.out)
     return 0 if all(row.status == "ok" for row in rows) else 1
@@ -97,6 +136,7 @@ def _cmd_run(args):
 def _cmd_pdf(args):
     betas = BetaVector(_parse_betas(args.betas))
     grid = default_capacity_grid(betas, points=args.points, grid_max=args.grid_max)
+    _check_destination(args.out)
     density = capacity_pdf(betas, grid)
     lines = ["# bits density"]
     for t, f in zip(grid, density):

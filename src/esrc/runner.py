@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import logging
-import sys
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -139,7 +138,6 @@ PRESETS = {
         base={"snr_db": 10.0, "l_band": 3},
     ),
 }
-PRESET_NAMES = tuple(PRESETS)
 _NO_PRESET = Preset(axes={}, base={})
 _BASE_DEFAULTS = {"snr_db": 10.0, "rho": 0.0, "l_band": "full", "m": 1.0, "omega": 1.0}
 
@@ -320,20 +318,6 @@ def render_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_text(text: str, destination) -> None:
-    """Write a finished table to the path `destination`, or to stdout when it is None."""
-    if destination is None:
-        sys.stdout.write(text)
-        return
-    with open(destination, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
-
-
-def emit_csv(rows: Sequence[SweepRow], destination) -> None:
-    """Write the CSV table; reruns of the same plan are byte-identical."""
-    write_text(render_csv(rows), destination)
-
-
 def _count(name, token):
     # checked here, not only by SystemConfig: the correlated side's size
     # comes from these counts before any reference config exists
@@ -377,9 +361,9 @@ def parse_config(
     lineno, chosen = scalars.pop("preset", (None, "none"))
     if preset is not None:
         lineno, chosen = None, preset
-    if chosen not in PRESET_NAMES + ("none",):
+    if chosen not in (*PRESETS, "none"):
         raise _at(
-            lineno, f"unknown preset {chosen!r}; valid presets: {', '.join(PRESET_NAMES)} or none"
+            lineno, f"unknown preset {chosen!r}; valid presets: {', '.join(PRESETS)} or none"
         )
     recipe = PRESETS.get(chosen, _NO_PRESET)
 

@@ -5,6 +5,7 @@ import hashlib
 import logging
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import esrc.cli as cli_mod
 import esrc.runner as runner_mod
 import esrc.zf
 from esrc.channel import FadingParams, SemiCorrelationMode
-from esrc.cli import main
+from esrc.cli import emit_csv, main
 from esrc.config import SystemConfig
 from esrc.correlation import CorrelationSpec
 from esrc.runner import (
@@ -31,7 +32,6 @@ from esrc.runner import (
     ConfigError,
     SweepPlan,
     SweepRow,
-    emit_csv,
     parse_config,
     point_seed,
     render_csv,
@@ -626,6 +626,23 @@ class TestCli:
         )
         assert done.stdout.strip() == "False"
 
+    def test_pdf_runs_no_monte_carlo_module(self, tmp_path):
+        # `esrc pdf` pays for none of the Monte Carlo stack: only running the
+        # runner or zf loads these, and a cold invocation would compile them
+        code = (
+            "import sys; from esrc.cli import main; "
+            "main(['pdf', '--betas', '9.18,8.36,8.41,8.35,8.36,8.34,8.31,9.14', "
+            "'--points', '40', "
+            f"'--out', {str(tmp_path / 'pdf.dat')!r}]); "
+            "print([m for m in ('esrc.channel', 'esrc.config', 'esrc.correlation', "
+            "'hashlib', 'mmap', 'signal') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
     def test_import_pins_blas_threads_unless_set(self):
         # pinned, BLAS starts no thread, so the Monte Carlo kernel may fork
         # one worker per CPU
@@ -708,6 +725,27 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and str(out) in err
         assert not (tmp_path / "missing").exists()
+
+    def test_pdf_unwritable_out_exits_2_before_the_table(self, tmp_path, monkeypatch, capsys):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the table was computed")
+
+        monkeypatch.setattr(cli_mod, "capacity_pdf", no_table)
+        for out in (tmp_path / "missing" / "x.dat", tmp_path):
+            assert main(["pdf", "--betas", "1,2", "--points", "8", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(out) in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_preset_choices_are_the_runners_presets(self, monkeypatch, capsys):
+        # the CLI lists the names so that `--help` does not run the runner
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        listed = re.findall(r"--preset \{([^}]*)\}", capsys.readouterr().out)
+        assert {tuple(choices.split(",")) for choices in listed} == {
+            tuple(runner_mod.PRESETS) + ("none",)
+        }
 
     def test_out_is_not_truncated_before_the_table_is_ready(self, tmp_path, monkeypatch):
         real = cli_mod.run_sweep

@@ -9,10 +9,12 @@ terms, and numerically inverting the matching Laplace transform M(-s)
 gives the capacity density itself.
 
 The density's right tail decays double-exponentially, so its transform
-is entire and grows super-exponentially into the left half-plane; the
-inversion therefore uses the Euler-summation method, which samples the
-transform only on a vertical line in the right half-plane (contour
-methods such as fixed Talbot dive left and diverge on this family).
+is entire and grows super-exponentially into the left half-plane, so the
+inversion samples it only on vertical lines in the right half-plane, as
+de Hoog, Knight and Stokes' Fourier series does on nodes shared by each
+window (top/8, top] of the grid (fixed Talbot contours dive left and
+diverge on this family).  One user reads within 4.5e-9 of the peak of the
+exact law from beta 1e-2 to the largest accepted, about 1.84e25.
 """
 
 from __future__ import annotations
@@ -22,26 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from esrc.specfun import (
-    EULER_NODES,
-    LN2,
-    NumericalError,
-    _log_scaled_gamma,
-    invert_laplace,
-)
+from esrc.specfun import LN2, NumericalError, _log_scaled_gamma, invert_laplace
 
 GRID_MAX_BITS = 64.0
-# below this the Euler nodes s = (A/2 + i k pi)/t of a grid point, or the
-# orders nu = 1 - s/ln2 they give, leave the float range (near 1.4e-306)
+# below this the largest node gamma + 2 i M pi/T = gamma + i M pi/t of a point t
+# alone in its window (M = 100), or its order 1 - s/ln2, leaves the float range
+# (near 2.5e-306; Euler's 55 pi/t left it near 1.4e-306)
 GRID_MIN_BITS = 1e-305
 _TAIL_MASS = 1e-6
-# (user, Euler node) pairs per transform call, each node counting as
-# _NODE_PAIRS pairs more.  Under tracemalloc a call holds about 26 bytes per
-# pair and 200 per node (a least-squares fit over 1 to 64 users), so one
-# full call peaks at 12 MB for one user and 7.4 MB for 64, and 8,192 points
-# at 9.9-15.1 MB for any user count from 1 to 64
-_PAIRS_PER_CALL = 2**18
-_NODE_PAIRS = 4
 
 
 @dataclass(frozen=True)
@@ -90,14 +80,14 @@ def _log_mgf(s, b):
 
 
 def _density_transform(b):
-    """Laplace transform of the capacity density: L(s) = M(-s), on an array of complex s.
+    """log L(s) of the capacity density's Laplace transform L(s) = M(-s), on complex s.
 
-    The Euler inversion nodes have large positive real parts, so L is
-    evaluated deep in M's left half-plane, in log space throughout.
+    The inversion nodes have large positive real parts, so L is evaluated
+    deep in M's left half-plane, in log space throughout.
     """
 
     def transform(s):
-        return np.exp(_log_mgf(-s, b))
+        return _log_mgf(-s, b)
 
     return transform
 
@@ -161,8 +151,4 @@ def capacity_pdf(b, grid):
                 f"betas up to {beta_max:.3g} leave less than {_TAIL_MASS:g} of the "
                 f"capacity mass below the supported {GRID_MAX_BITS:.0f} bits"
             )
-    transform = _density_transform(b)
-    block = max(1, _PAIRS_PER_CALL // (EULER_NODES * (b.n_users + _NODE_PAIRS)))
-    return np.concatenate(
-        [invert_laplace(transform, pts[i : i + block]) for i in range(0, pts.size, block)]
-    )
+    return invert_laplace(_density_transform(b), pts)

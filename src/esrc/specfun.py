@@ -41,9 +41,9 @@ Gamma(nu) from _loggamma, a Stirling series with a recurrence shift and
 reflection, evaluated once per order for every z.  Every complex array
 logarithm is taken as log|z| + i arg z from two real ufuncs (_log); real
 arrays keep np.log.  The closed form's e^x E_1(x) is the engine at
-nu = 0, and the Euler Laplace inversion completes the module.  The
-regularized lower incomplete gamma P(a, x) of the gamma fit reuses the
-lower series and the fraction.
+nu = 0; the gamma fit's regularized P(a, x) reuses the lower series and
+the fraction.  De Hoog's Laplace inversion, on nodes that each window of
+the grid shares, completes the module.
 """
 
 from __future__ import annotations
@@ -516,44 +516,75 @@ def _gamma_cdf(a, x):
     return np.minimum(p, 1.0)
 
 
-# Abate-Whitt Euler summation (INFORMS J. Computing 18(4), 2006): transform
-# evaluations per output point, and the damping A of the Bromwich line
-# Re s = A / (2t), whose discretisation error is about e^{-A}
-EULER_NODES = 56
-EULER_A = 18.4
+# de Hoog, Knight & Stokes (SIAM J. Sci. Stat. Comput. 3, 1982): the fraction's depth
+# M (2M + 1 nodes per window), the damping's aliasing tolerance, a window's top/bottom
+DEHOOG_M = 100
+DEHOOG_TOL = 1e-16
+WINDOW_RATIO = 8.0
 
 
-def invert_laplace(transform, grid):
-    """Numerically invert a Laplace transform on a grid of positive points.
+def invert_laplace(log_transform, grid):
+    """Numerically invert a Laplace transform on a grid of positive, ascending points.
 
-    grid is a non-empty 1-d float array, as capacity_pdf checks.  transform
-    receives one complex array of shape (grid size, EULER_NODES), the Euler
-    nodes of every point in one row, and returns the transform's values
-    there as an array of that shape.  The transform must be
-    analytic to the right of the imaginary axis.  The Euler method only
-    ever evaluates on a vertical line, so it tolerates transforms that grow
-    into the left half-plane.
+    The grid splits, top first, into windows (top/WINDOW_RATIO, top].  The
+    points of a window share its period T = 2 top, damping
+    gamma = -ln(DEHOOG_TOL)/(2T) and nodes gamma + i pi k/T, k = 0..2M, on
+    which log_transform returns log L (any branch; L analytic on Re s > 0)
+    for all windows in one (windows, 2M + 1) array.  One quotient-difference
+    table gives every window's fraction coefficients d_n; every point then
+    runs the fraction in z = e^{i pi t/T} with de Hoog's improved remainder.
     """
-    # Abate-Whitt Euler summation: alternating series on the line
-    # Re s = A/(2t), accelerated by binomial averaging of partial sums
-    m = EULER_NODES // 3
-    n = EULER_NODES - 1 - m
-    k = np.arange(EULER_NODES)
-    nodes = np.empty((grid.size, EULER_NODES), dtype=complex)
-    nodes.real = (EULER_A / (2.0 * grid))[:, None]
-    nodes.imag = k * math.pi / grid[:, None]
-    values = np.broadcast_to(transform(nodes), nodes.shape)
-    bad = ~(np.isfinite(values.real) & np.isfinite(values.imag))
+    # bounds[w + 1]:bounds[w] are the points of window w
+    bounds = [grid.size]
+    while bounds[-1]:
+        top = grid[bounds[-1] - 1]
+        bounds.append(int(np.searchsorted(grid, top / WINDOW_RATIO, side="right")))
+    tops = grid[np.array(bounds[:-1]) - 1]
+    window = np.repeat(np.arange(tops.size), -np.diff(bounds))[::-1]
+    period = 2.0 * tops
+    damping = -math.log(DEHOOG_TOL) / (2.0 * period)
+    nodes = damping[:, None] + 1j * math.pi * np.arange(2 * DEHOOG_M + 1) / period[:, None]
+    logs = np.broadcast_to(log_transform(nodes), nodes.shape)
+
+    def fail(what, w):
+        top = float(tops[w])
+        raise LaplaceInversionError(f"{what} (window ({top / WINDOW_RATIO!r}, {top!r}])")
+
+    bad = ~(np.isfinite(logs.real) & np.isfinite(logs.imag))
     if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise LaplaceInversionError(
-            f"transform returned a non-finite value at node {complex(nodes[row, col])!r} "
-            f"(t={float(grid[row])!r})"
-        )
-    terms = np.where(k % 2 == 0, 1.0, -1.0) * values.real
-    terms[:, 0] = 0.5 * values[:, 0].real
-    partial = np.cumsum(terms, axis=1)
-    acc = np.zeros(grid.size)
-    for j in range(m + 1):
-        acc += math.comb(m, j) * 0.5**m * partial[:, n + j]
-    return math.exp(EULER_A / 2.0) / grid * acc
+        w, k = np.argwhere(bad)[0]
+        fail(f"transform returned a non-finite value at node {complex(nodes[w, k])!r}", w)
+    shift = logs.real.max(axis=1)
+    a = np.exp(logs - shift[:, None])
+    a[:, 0] *= 0.5
+    with np.errstate(all="ignore"):
+        # q^(1)_r = a_{r+1}/a_r, e^(k)_r = q^(k)_{r+1} - q^(k)_r + e^(k-1)_{r+1} and
+        # q^(k+1)_r = q^(k)_{r+1} e^(k)_{r+1}/e^(k)_r give d_{2k-1} = -q^(k)_0, d_{2k} = -e^(k)_0
+        q = a[:, 1:] / a[:, :-1]
+        e = q[:, 1:] - q[:, :-1]
+        cols = [-a[:, 0], q[:, 0], e[:, 0]]
+        for _ in range(1, DEHOOG_M):
+            q = q[:, 1:-1] * e[:, 1:] / e[:, :-1]
+            e = q[:, 1:] - q[:, :-1] + e[:, 1:-1]
+            cols += [q[:, 0], e[:, 0]]
+        d = -np.stack(cols)
+        # a coefficient below 1e-14 ends the fraction: its tail would move the
+        # value by about that much, and is 0/0 where a window sees a point mass
+        d[np.logical_or.accumulate(np.abs(d) < 1e-14, axis=0)] = 0.0
+        # rows A_n and B_n = X_{n-1} + d_n z X_{n-2}, from A_{-1}, A_0 = 0, d_0 and B = 1
+        z = np.exp(1j * math.pi * grid / period[window])
+        ones = np.ones(grid.size, dtype=complex)
+        prev, cur = np.stack([0.0 * ones, ones]), np.stack([d[0].take(window), ones])
+        for row in d[1:-1]:
+            np.multiply(prev, row.take(window) * z, out=prev)
+            prev += cur
+            prev, cur = cur, prev
+        # the improved remainder stands in for the last step's d_2M z
+        h = 0.5 * (1.0 + (d[-2] - d[-1]).take(window) * z)
+        num, den = cur + h * (np.sqrt(1.0 + d[-1].take(window) * z / (h * h)) - 1.0) * prev
+        out = np.exp(shift[window] + damping[window] * grid) / period[window] * (num / den).real
+    bad = ~np.isfinite(out)
+    if bad.any():
+        # a zero or non-finite divisor anywhere in a window's table spreads to its d_n
+        fail("the quotient-difference table met a zero or non-finite divisor", window[bad][0])
+    return out

@@ -281,6 +281,9 @@ def monte_carlo_esrc(config):
             rates[start:stop] = sum_rate(sinr)
         return redraws
 
+    # trial_rng's first use imports numpy.random: once here, not in every worker
+    import numpy.random  # noqa: F401
+
     pids = []
     try:
         for k, chunks in enumerate(ranges[1:], 1):

@@ -56,10 +56,10 @@ def test_run_csv_bytes(tmp_path, preset, extra, digest):
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--points", "40"], "39538a0c5f68eb872f5b35831dbcd7b8a98bc98c218c45d9e25d5a9969bee2f9"),
+        (["--points", "40"], "25877399ba60fc80799786c92bb81d11174b0022288d1d80f31f6eeb36820b94"),
         (
             ["--grid-max", "8", "--points", "64"],
-            "bd452f47b8687b6e090f9208a553eccd6426e2253e88537cbfa69caf6f72c9b0",
+            "73094df7f9e55e58297eb33668932870853d55335f77b14dddab12257c26e707",
         ),
     ],
 )

@@ -39,6 +39,7 @@ from esrc.runner import (
 )
 from esrc.specfun import LN2, NumericalError
 from esrc.zf import MonteCarloAbort
+from oracles import gm_pdf
 
 SRC_DIR = str(Path(esrc.__file__).resolve().parents[1])
 
@@ -873,6 +874,18 @@ class TestCli:
         assert main(argv + ["--out", str(out)]) == 0
         density = [float(line.split()[1]) for line in out.read_text().splitlines()[1:]]
         assert density == pytest.approx([LN2 / 2.0] * 8, rel=1e-6)
+
+    def test_pdf_largest_betas_print_the_exact_law(self, tmp_path):
+        # beta 1e24 puts the peak past the 64-bit cap; the table holds the
+        # stated accuracy, 1e-6 of its peak, against the exact law.  The
+        # Euler sum printed 2.8e-17 at 16 bits and 3.3e-11 at 24 bits, where
+        # the law reads 4.5e-20 and 1.2e-17
+        out = tmp_path / "pdf.dat"
+        assert main(["pdf", "--betas", "1e24", "--points", "8", "--out", str(out)]) == 0
+        table = np.loadtxt(out)
+        exact = gm_pdf(table[:, 0], LN2, 1e-24)
+        assert np.array_equal(table[:, 0], np.arange(8.0, 65.0, 8.0))
+        assert np.max(np.abs(table[:, 1] - exact)) <= 1e-6 * np.max(exact)
 
     def test_pdf_rejects_bad_input(self, capsys):
         assert main(["pdf", "--betas", "1.0,,2"]) == 2

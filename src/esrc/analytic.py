@@ -29,7 +29,7 @@ from esrc.specfun import LN2, NumericalError, _log_scaled_gamma, invert_laplace
 GRID_MAX_BITS = 64.0
 # below this the largest node gamma + 2 i M pi/T = gamma + i M pi/t of a point t
 # alone in its window (M = 100), or its order 1 - s/ln2, leaves the float range
-# (near 2.5e-306; Euler's 55 pi/t left it near 1.4e-306)
+# (near 2.5e-306)
 GRID_MIN_BITS = 1e-305
 _TAIL_MASS = 1e-6
 
@@ -140,15 +140,23 @@ def capacity_pdf(b, grid):
             f"grid extends to {pts[-1]:.3g} bits, beyond the supported "
             f"{GRID_MAX_BITS:.0f}"
         )
-    # the sum capacity exceeds each user's, so the mass below GRID_MAX_BITS
-    # is at most the largest-beta user's; past about 1.8e25 that is below
-    # _TAIL_MASS and the inverted density is round-off.  A ratio that
-    # overflows gives the exact limit, mass 1
-    beta_max = max(b.betas)
-    with np.errstate(over="ignore"):
-        if -np.expm1(-np.expm1(LN2 * GRID_MAX_BITS) / beta_max) < _TAIL_MASS:
+    # P(C <= 64 bits) is at least the chance that every user stays below
+    # 64/N bits.  Where that is below _TAIL_MASS, two upper bounds are taken:
+    # the largest-beta user's own P(C_k <= 64 bits), which the sum exceeds,
+    # and the Chernoff bound e^{64 s} M(-s) on a few s > 0.  Below
+    # _TAIL_MASS the inverted density is round-off.  A ratio that overflows
+    # gives the exact limit, mass 1
+    betas, log_floor = np.array(b.betas), math.log(_TAIL_MASS)
+    with np.errstate(over="ignore", divide="ignore"):
+        every = np.sum(np.log(-np.expm1(-np.expm1(LN2 * GRID_MAX_BITS / b.n_users) / betas)))
+        largest = np.log(-np.expm1(-np.expm1(LN2 * GRID_MAX_BITS) / betas.max()))
+    if every < log_floor:
+        s = 2.0 ** np.arange(-6.0, 6.5, 0.5)
+        chernoff = np.min(s * GRID_MAX_BITS + _log_mgf(-s, b).real)
+        if min(largest, chernoff) < log_floor:
             raise ValueError(
-                f"betas up to {beta_max:.3g} leave less than {_TAIL_MASS:g} of the "
-                f"capacity mass below the supported {GRID_MAX_BITS:.0f} bits"
+                f"{b.n_users}-user betas up to {betas.max():.3g} leave less than "
+                f"{_TAIL_MASS:g} of the capacity mass below the supported "
+                f"{GRID_MAX_BITS:.0f} bits"
             )
     return invert_laplace(_density_transform(b), pts)

@@ -28,11 +28,10 @@ ends when its slowest element converges.  The fraction runs each element
 from its own depth, predicted from z and Im nu, and accepts it when the
 depth and depth + 8 agree; the rest run again deeper.  Its level terms
 are taken as 2-D runs of levels while a run fits in _LEVEL_BYTES; a level
-wider than that is a run of its own.  The Kummer split runs once per call,
-in chunks of orders over bands of z (_bands).  Within a band its lower
-series takes each order's terms once, at the largest z that picks the
-order, and hands them to the band's other z through a matrix product
-(_lower_table), so a pair's value may depend on the other z of its call.
+wider than that is a run of its own.  The Kummer split runs its pairs of
+every z through the lower series in chunks of orders, each (z, order)
+array within _CHUNK_BYTES.  Every kernel treats each pair on its own, so
+each row of a call has the bits of a call on its z alone.
 The fraction-bound pairs of every z share one continued-fraction pass with
 the anchors Gamma(nu, 1) of the series, one anchor per distinct order.
 The fraction yields the scaled quantity directly, so e^x E_1(x) stays
@@ -295,90 +294,6 @@ def _lower_series(nu, z):
     return out
 
 
-def _bands(z):
-    """Index arrays that split a 1-d array of z into bands, largest z first.
-
-    A band runs from its largest z, t, down to t/2, or down to 0 when t <= 2.
-    The lower series needs a number of terms that grows with z above 1 and
-    stays small below, so the z of one band need about as many.
-    """
-    desc = np.argsort(-z, kind="stable")
-    bands, first = [], 0
-    for i in range(1, z.size + 1):
-        # halving is exact, and doubling would overflow above z = 9e307
-        if i == z.size or max(z[desc[i]], 1.0) < 0.5 * z[desc[first]]:
-            bands.append(desc[first:i])
-            first = i
-    return bands
-
-
-def _lower_table(nu, z, zeta):
-    """_lower_series on a (z, order) grid, each order's terms computed once.
-
-    nu is a 1-d array of complex orders, z a 1-d array of positive reals
-    and zeta, per order, the largest z that sends it to the Kummer split,
-    or 0 where none does (at least one does).  The Kummer conditions hold
-    below some z, so an order's pairs are every z <= zeta outside the
-    leading-term region.  Its terms are taken once, at zeta, as
-    a_n = zeta^n / (nu (nu + 1) ... (nu + n)), and every z <= zeta gets
-    sum_n a_n (z/zeta)^n.  Every power is at most 1, so no term leaves the
-    float range that the series at zeta keeps.  Each _BLOCK terms of the
-    orders that share a zeta cost one real matrix product of the powers
-    with the coefficients.  An order leaves when its block's last
-    coefficient is below _EPS of its smallest total.  Entries above zeta,
-    and columns with zeta = 0, are left unspecified.
-    """
-    if z.size == 1:
-        # one z has nothing to share: its orders run the plain series
-        out = np.empty((1, nu.size), dtype=complex)
-        out[0, zeta > 0.0] = _lower_series(nu[zeta > 0.0], z[0])
-        return out
-    active = np.argsort(zeta, kind="stable")
-    active = active[np.count_nonzero(zeta == 0.0) :]
-    order, top = nu[active], zeta[active]
-    # a complex zeta keeps numpy's division off its casting loop
-    zeta = top.astype(complex)
-    tops = top[np.flatnonzero(np.diff(top, prepend=0.0))]
-    below = z[:, None] <= tops
-    ratio = np.divide(z[:, None], tops, out=np.zeros(below.shape), where=below)
-    total = np.zeros((z.size, active.size), dtype=complex)
-    table = np.empty((_BLOCK, active.size), dtype=complex)
-    last, left, parts = 1.0, [], []
-    for n in range(0, _MAX_SERIES_ITER, _BLOCK):
-        # the block's factors zeta / (nu + k) in one pass, then their
-        # running product
-        f = zeta / (order + np.arange(n, n + _BLOCK, dtype=complex)[:, None])
-        if n == 0:
-            f[0] = 1.0 / order
-        for k, row in enumerate(table):
-            np.multiply(table[k - 1] if k else last, f[k], out=row)
-        last = table[-1]
-        exponents = np.arange(n, n + _BLOCK)
-        flat_total, flat_table = total.view(float), table.view(float)
-        # the orders of one zeta are a run of active
-        edges = (2 * np.searchsorted(top, [*tops, math.inf])).tolist()
-        for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            if hi > lo:
-                power = ratio[:, g, None] ** exponents
-                flat_total[:, lo:hi] += power @ flat_table[:, lo:hi]
-        # every power is at most 1, so this bounds the last term on every z
-        done = np.abs(last) < _EPS * np.abs(total).min(axis=0)
-        if done.any():
-            left.append(active.compress(done))
-            parts.append(total.compress(done, axis=1))
-            keep = ~done
-            active, order, top, zeta, last = (
-                v.compress(keep) for v in (active, order, top, zeta, last)
-            )
-            if not active.size:
-                out = np.empty((z.size, nu.size), dtype=complex)
-                out.T[np.concatenate(left)] = np.concatenate(parts, axis=1).T
-                return out
-            # compress keeps it C-ordered, as its real view needs
-            total, table = total.compress(keep, axis=1), table[:, : active.size]
-    raise NumericalError(f"lower gamma series stalled (nu={order[0]!r}, z={top[0]!r})")
-
-
 def _kummer_log_split(nu, z, log_gamma, lower):
     """log U(1, nu + 1, z) through Gamma(nu) minus the lower-gamma series.
 
@@ -441,31 +356,22 @@ def _log_scaled_gamma(nu, z):
 
     out[leading] = -_log(x[leading] - v[leading])
     # the Kummer split, with log Gamma(nu) taken once per order that some z
-    # sends to it.  The lower series shares its terms among the z of a band,
-    # so that every row of a band needs about as many terms, and each band
-    # runs in chunks of orders
+    # sends to it, in equal chunks of orders whose (z, order) arrays each fit
+    # in _CHUNK_BYTES
     needed = kummer.any(axis=0)
     log_gamma = np.empty(nu_row.size, dtype=complex)
     log_gamma[needed] = _loggamma(nu_row[needed])
-    flat = out.reshape(-1)
-    for rows in _bands(z_col[:, 0]):
-        band, zb = kummer[rows], z_col[rows]
-        # equal chunks, each (z, order) array within _CHUNK_BYTES
-        chunks = max(1, -(-16 * band.size // _CHUNK_BYTES))
-        width = max(1, -(-nu_row.size // chunks))
-        for lo in range(0, nu_row.size, width):
-            pick = band[:, lo : lo + width]
-            if not pick.any():
-                continue
-            orders = nu_row[lo : lo + width].astype(complex)
-            zeta = np.where(pick, zb, 0.0).max(axis=0)
-            values = _kummer_log_split(
-                np.broadcast_to(orders, pick.shape)[pick],
-                np.broadcast_to(zb, pick.shape)[pick],
-                np.broadcast_to(log_gamma[lo : lo + width], pick.shape)[pick],
-                _lower_table(orders, zb[:, 0], zeta)[pick],
+    chunks = max(1, -(-16 * kummer.size // _CHUNK_BYTES))
+    width = max(1, -(-nu_row.size // chunks))
+    for lo in range(0, nu_row.size, width):
+        cols = slice(lo, lo + width)
+        pick = kummer[:, cols]
+        if pick.any():
+            order, zk = v[:, cols][pick].astype(complex), x[:, cols][pick]
+            out[:, cols][pick] = _kummer_log_split(
+                order, zk, np.broadcast_to(log_gamma[cols], pick.shape)[pick],
+                _lower_series(order, zk),
             )
-            flat[(rows[:, None] * nu_row.size + np.arange(lo, lo + orders.size))[pick]] = values
     # one continued-fraction pass for the fraction-bound pairs of every z and
     # for the anchors Gamma(nu, 1) of the series, one per distinct order
     n_fraction = np.count_nonzero(fraction)

@@ -56,7 +56,7 @@ def test_run_csv_bytes(tmp_path, preset, extra, digest):
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--points", "40"], "25877399ba60fc80799786c92bb81d11174b0022288d1d80f31f6eeb36820b94"),
+        (["--points", "40"], "327fbc3f2ea58ca0f1238c1230afbdee7d017c7d3c07263c58ef1286d565fa94"),
         (
             ["--grid-max", "8", "--points", "64"],
             "73094df7f9e55e58297eb33668932870853d55335f77b14dddab12257c26e707",

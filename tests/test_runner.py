@@ -945,3 +945,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("users", [32, 64, 256])
+    def test_pdf_many_users_past_the_cap_exit_2(self, users, tmp_path, capsys):
+        # 64 users of beta 8.5 keep at most 1e-27 of their mass below the
+        # 64-bit cap, and 256 users 1e-305: their tables were round-off
+        # (peak 2e-24 at 64 users) or met a zero divisor.  32 users keep
+        # up to 6e-3, and their table prints
+        out = tmp_path / "pdf.dat"
+        argv = ["pdf", "--betas", ",".join(["8.5"] * users), "--points", "40"]
+        if users == 32:
+            assert main([*argv, "--out", str(out)]) == 0
+            assert np.all(np.isfinite(np.loadtxt(out)))
+            return
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {users}-user betas up to 8.5 leave less than 1e-06 of the "
+            "capacity mass below the supported 64 bits\n"
+        )

@@ -437,11 +437,10 @@ def straddling_orders(z):
     ],
     ids=["spread", "10db", "one-row", "64-rows"],
 )
-def test_shared_lower_series_against_the_scalar_engine(z):
-    # the Kummer split's lower series takes each order's terms once, at the
-    # largest z that picks it, and shares them with the smaller z of its
-    # band: the spread case's four z below 2 span five decades.  The
-    # 64-row case straddles the boundaries of four of its rows.
+def test_kummer_boundaries_against_the_scalar_engine(z):
+    # orders on both sides of every Kummer boundary of the rows: the spread
+    # case's z span twelve decades, and the 64-row case straddles the
+    # boundaries of four of its rows.
     # A logarithm of size L carries a rounding error near L 2^-52 in any
     # float engine (at nu = 747.5 + 0.7i, log Gamma(nu) is about 4200), so
     # the bound scales with max(1, L).  The worst case measured is 1.3e-14
@@ -453,6 +452,10 @@ def test_shared_lower_series_against_the_scalar_engine(z):
     ref = np.array([[scalar_log_scaled_gamma(order, zk) for order in nu] for zk in z])
     err = np.abs(np.exp(got - ref) - 1.0) / np.maximum(1.0, np.abs(ref))
     assert err.max() <= 5e-14
+    # every pair is evaluated alone: sharing one call with the other z
+    # changes no bit of a row
+    for row, zk in enumerate(z):
+        assert np.array_equal(got[row], _log_scaled_gamma(nu, zk)), zk
 
 
 # every complex number with a zero, infinite or NaN part from these

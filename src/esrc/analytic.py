@@ -140,10 +140,10 @@ def capacity_pdf(b, grid):
             f"grid extends to {pts[-1]:.3g} bits, beyond the supported "
             f"{GRID_MAX_BITS:.0f}"
         )
-    # P(C <= 64 bits) is at least the chance that every user stays below
-    # 64/N bits.  Where that is below _TAIL_MASS, two upper bounds are taken:
-    # the largest-beta user's own P(C_k <= 64 bits), which the sum exceeds,
-    # and the Chernoff bound e^{64 s} M(-s) on a few s > 0.  Below
+    # P(C <= 64 bits) is at least the chance that the independent users all
+    # stay below 64/N bits.  Where that is below _TAIL_MASS, two upper bounds
+    # are taken: the largest-beta user's own P(C_k <= 64 bits), which the sum
+    # exceeds, and the Chernoff bound e^{64 s} M(-s) on a few s > 0.  Below
     # _TAIL_MASS the inverted density is round-off.  A ratio that overflows
     # gives the exact limit, mass 1
     betas, log_floor = np.array(b.betas), math.log(_TAIL_MASS)

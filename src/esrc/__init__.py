@@ -11,7 +11,11 @@ Importing the package pins BLAS and OpenMP to one thread unless the
 environment already sets a count.  This must happen before numpy loads;
 once numpy is imported, its BLAS keeps the thread count it started with.
 The Monte Carlo kernel forks one worker per CPU, and a second BLAS thread
-in each would oversubscribe the cores.
+in each would oversubscribe the cores: on a 2-vCPU host the forked 64x32
+test point took 11.8 s with BLAS unpinned and 2.5 s pinned.  Unpinned,
+OpenBLAS also runs the stacked Gram products H^H H on both vCPUs, and 626
+batched 8x64x32 products took 0.10-1.18 s against 0.07-0.09 s pinned
+(nine runs each).
 """
 
 import os

@@ -18,31 +18,20 @@ column of z, split the (nu, z) pairs among four kernels:
 - the Kummer split Gamma(nu) minus the lower series, when |Im nu| or
   Re nu reach 2(z + 1), or when Re nu > max(z - 1, 0) away from the
   pole at nu = 0 (|nu| >= 1/2), where the split would cancel;
-- otherwise the continued fraction, evaluated backward, when z >= 1;
-- otherwise a power series about the anchor Gamma(nu, 1), summed in
-  scaled form so that no power of z leaves the float range.
+- otherwise the continued fraction, evaluated backward, when z >= 1: it
+  yields the scaled quantity directly, so e^x E_1(x) stays exact far
+  beyond the e^{-x} underflow point;
+- otherwise, below z = 1 where the fraction would need about 86/z
+  levels, a power series about the anchor Gamma(nu, 1), summed in scaled
+  form so that no power of z leaves the float range.
 
-The series iterate on arrays with a convergence mask per element, checked
-every _BLOCK steps; converged elements leave the active set, so each loop
-ends when its slowest element converges.  The fraction runs each element
-from its own depth, predicted from z and Im nu, and accepts it when the
-depth and depth + 8 agree; the rest run again deeper.  Its level terms
-are taken as 2-D runs of levels while a run fits in _LEVEL_BYTES; a level
-wider than that is a run of its own.  The Kummer split runs its pairs of
-every z through the lower series in chunks of orders, each (z, order)
-array within _CHUNK_BYTES.  Every kernel treats each pair on its own, so
-each row of a call has the bits of a call on its z alone.
-The fraction-bound pairs of every z share one continued-fraction pass with
-the anchors Gamma(nu, 1) of the series, one anchor per distinct order.
-The fraction yields the scaled quantity directly, so e^x E_1(x) stays
-exact far beyond the e^{-x} underflow point.  The Kummer split takes
-Gamma(nu) from _loggamma, a Stirling series with a recurrence shift and
-reflection, evaluated once per order for every z.  Every complex array
-logarithm is taken as log|z| + i arg z from two real ufuncs (_log); real
-arrays keep np.log.  The closed form's e^x E_1(x) is the engine at
-nu = 0; the gamma fit's regularized P(a, x) reuses the lower series and
-the fraction.  De Hoog's Laplace inversion, on nodes that each window of
-the grid shares, completes the module.
+Each series iterates on arrays with a convergence mask per element, and
+converged elements leave the active set, so each loop ends when its
+slowest element converges.  Every kernel treats each pair on its own, so
+each row of a call has the bits of a call on its z alone.  _gamma_cdf,
+the gamma fit's regularized P(a, x), reuses the lower series and the
+fraction, and invert_laplace, de Hoog's Laplace inversion, completes the
+module.
 """
 
 from __future__ import annotations
@@ -168,7 +157,8 @@ def _gamma_cf(s, x):
     1's steps until its own start).  The terms x + 2k - 1 - s and k (s - k)
     of a run of levels are taken as 2-D blocks of at most _LEVEL_BYTES
     each, or of one level where a level alone is wider, so a narrow sweep
-    costs about two numpy calls per level.  An element is accepted when its
+    costs about two numpy calls per level (the 47 anchors of the 10 dB
+    table are such a sweep).  An element is accepted when its
     rows agree to _CF_TOL; the others run again at twice the depth, up to
     _MAX_CF_ITER.
     """
@@ -223,7 +213,9 @@ def _anchor_series(s, x, c_one):
     large |s ln x| is.  Near q = 0 the term is its limit -x^n ln x (for
     |q| < 1e-200, within |q ln x|/2 relative), which also keeps a
     subnormal q out of the division.  s, x and the fraction factors
-    c_one = C(s, 1) are 1-d arrays of one length.
+    c_one = C(s, 1) are 1-d arrays of one length.  Against mpmath, on 221
+    pairs with |s| <= 3 and x from 0.05 to 1, it read 9.2e-16, where the
+    backward fraction read 6.7e-16 and a forward Lentz fraction 3.6e-13.
     """
     lx = np.log(x)
     scale = np.exp(-s * lx)
@@ -423,7 +415,11 @@ def _gamma_cdf(a, x):
 
 
 # de Hoog, Knight & Stokes (SIAM J. Sci. Stat. Comput. 3, 1982): the fraction's depth
-# M (2M + 1 nodes per window), the damping's aliasing tolerance, a window's top/bottom
+# M (2M + 1 nodes per window), the damping's aliasing tolerance, a window's top/bottom.
+# Of the depths tried (60 to 120), M = 100 is the smallest whose sweep of 1,000 one-user
+# betas from 1e10 to 1e20 stayed below 2e-8 of the peak; at M = 60 to 82 the worst read
+# 6e-7 to 1e-5, as the fraction amplifies the transform's round-off.  M = 100 needs the
+# wide windows: with (top/4, top], 40 points would take three windows and 603 nodes, not 402
 DEHOOG_M = 100
 DEHOOG_TOL = 1e-16
 WINDOW_RATIO = 8.0

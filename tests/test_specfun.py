@@ -25,6 +25,7 @@ from esrc.specfun import (
     DEHOOG_TOL,
     LN2,
     WINDOW_RATIO,
+    _STIRLING_MIN,
     LaplaceInversionError,
     NumericalError,
     _gamma_cdf,
@@ -671,6 +672,29 @@ def test_loggamma_matches_scipy(re, im):
 @example(a=0.35, x=1e-18)
 def test_gamma_cdf_matches_scipy(a, x):
     assert abs(_gamma_cdf(a, np.array([x]))[0] - special.gammainc(a, x)) <= 1e-13
+
+
+@ORACLE_SETTINGS
+@given(
+    a=st.floats(min_value=0.05, max_value=500.0),
+    logs=st.lists(st.floats(min_value=-12.0, max_value=0.6), min_size=1, max_size=40),
+)
+@example(a=float(np.nextafter(_STIRLING_MIN, 0.0)), logs=[-1.0, 0.0])
+@example(a=_STIRLING_MIN, logs=[-1.0, 0.0])
+def test_gamma_cdf_is_a_cdf(a, logs):
+    # fit_gamma_ml's goodness-of-fit statistics take these values as they
+    # come.  x runs from 1e-12 to 4 times the switch from the series to the
+    # fraction at a + 1 + 8 sqrt(a + 1), and a crosses _STIRLING_MIN.  P is
+    # in [0, 1] exactly, but it may fall by round-off, within the 1e-13 of
+    # test_gamma_cdf_matches_scipy: the series' own rounding, and the jump of
+    # either sign where the fraction takes over, read up to 2.7e-14 over 350
+    # orders (at a = 7, P falls by 3.3e-16 across the switch)
+    switch = a + 1.0 + 8.0 * math.sqrt(a + 1.0)
+    edge = [np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf)]
+    x = np.sort(np.concatenate([switch * 10.0 ** np.array(logs), edge]))
+    p = _gamma_cdf(a, x)
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    assert np.all(np.diff(p) >= -1e-13)
 
 
 def test_lower_series_and_gamma_cdf_keep_their_bits():

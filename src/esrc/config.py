@@ -1,9 +1,10 @@
-"""System configuration tying antennas, fading, correlation, and the run seed."""
+"""One operating point as flat values, with the layer objects derived from them."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from esrc.channel import FadingParams, SemiCorrelationMode
 from esrc.correlation import CorrelationSpec
@@ -13,19 +14,22 @@ MAX_SEED = 2**64 - 1
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """One Monte Carlo operating point.
+    """One Monte Carlo operating point, by the names the document and CSV use.
 
     Each transmit antenna carries one single-antenna user's stream, so
-    n_users = n_t always; zero-forcing needs n_r >= n_t.  The correlation
-    matrix lives on mode.side and must match that side's antenna count.
+    n_users = n_t always; zero-forcing needs n_r >= n_t.  mode, fading and
+    correlation are derived, the correlation sized to side's antenna count,
+    and built once here, so each range is checked by the class that owns it.
     """
 
     n_t: int
     n_r: int
+    side: str
     snr_db: float
-    fading: FadingParams
-    correlation: CorrelationSpec
-    mode: SemiCorrelationMode
+    rho: float
+    l_band: int
+    m: float
+    omega: float
     trials: int
     seed: int
 
@@ -38,12 +42,8 @@ class SystemConfig:
             raise ValueError(
                 f"zero-forcing needs n_r >= n_t, got n_r={self.n_r!r} < n_t={self.n_t!r}"
             )
-        expected = self.mode.correlated_count(self.n_r, self.n_t)
-        if self.correlation.n != expected:
-            raise ValueError(
-                f"correlation.n={self.correlation.n!r} but the {self.mode.side} side "
-                f"has {expected} antennas"
-            )
+        for name in ("mode", "fading", "correlation"):
+            getattr(self, name)
         # the linear SNR overflows above about 3082 dB and underflows to 0
         # below about -3236 dB
         if not 0.0 < self.snr_linear < math.inf:
@@ -53,6 +53,19 @@ class SystemConfig:
             )
         if int(self.seed) != self.seed or not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed out of range [0, 2^64-1], got {self.seed!r}")
+
+    @cached_property
+    def mode(self):
+        return SemiCorrelationMode(self.side)
+
+    @cached_property
+    def fading(self):
+        return FadingParams(m=self.m, omega=self.omega)
+
+    @cached_property
+    def correlation(self):
+        n = self.mode.correlated_count(self.n_r, self.n_t)
+        return CorrelationSpec(n=n, rho=self.rho, l_band=self.l_band)
 
     @property
     def n_users(self):

@@ -8,8 +8,9 @@ values, so editing one axis never perturbs the other points' streams.
 
 Every value of a sweepable parameter, whether a document scalar, a preset
 default, a [sweep.*] entry or a SweepPlan axis value, is read by its AXES
-token parser and range-checked by the model dataclasses, through a
-reference SystemConfig that holds it; the figure presets are PRESETS data.
+token parser and range-checked by a copy of a reference SystemConfig that
+holds it.  A sweep point is the plan base with the point's values and seed
+replaced; the figure presets are PRESETS data.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from esrc.analytic import BetaVector, esrc_closed_form
-from esrc.channel import FadingParams, SemiCorrelationMode
+from esrc.channel import SemiCorrelationMode
 from esrc.config import SystemConfig
-from esrc.correlation import CorrelationSpec
 from esrc.statfit import MIN_FIT_SAMPLES, fit_exponential, fit_gamma_ml
 from esrc.zf import monte_carlo_esrc
 
@@ -71,10 +71,10 @@ def _point_of(config):
     """The five sweepable parameters of config, by name."""
     return {
         "snr_db": float(config.snr_db),
-        "rho": float(config.correlation.rho),
-        "l_band": int(config.correlation.l_band),
-        "m": float(config.fading.m),
-        "omega": float(config.fading.omega),
+        "rho": float(config.rho),
+        "l_band": int(config.l_band),
+        "m": float(config.m),
+        "omega": float(config.omega),
     }
 
 
@@ -86,7 +86,7 @@ def _axis_value(name, token, reference, extended):
     value = AXES[name](name, token, reference.correlation.n)
     if name == "rho" and not extended and value > 0.5:
         raise ValueError(f"rho out of range [0, 0.5], got {value!r}")
-    _config_for_point(reference, {**_point_of(reference), name: value}, reference.seed)
+    replace(reference, **{name: value})
     return value
 
 
@@ -224,21 +224,6 @@ def _point_label(point):
     )
 
 
-def _config_for_point(base: SystemConfig, point, seed: int) -> SystemConfig:
-    return SystemConfig(
-        n_t=base.n_t,
-        n_r=base.n_r,
-        snr_db=point["snr_db"],
-        fading=FadingParams(m=point["m"], omega=point["omega"]),
-        correlation=CorrelationSpec(
-            n=base.correlation.n, rho=point["rho"], l_band=int(point["l_band"])
-        ),
-        mode=base.mode,
-        trials=base.trials,
-        seed=seed,
-    )
-
-
 def _measure(config: SystemConfig, full_fit: bool) -> Tuple[Dict[str, Optional[float]], int]:
     """The result columns of one point, and the number of its trials that were redrawn."""
     esrc_mc, std_err, samples, redraws = monte_carlo_esrc(config)
@@ -284,7 +269,7 @@ def run_sweep(plan: SweepPlan, full_fit: bool = False) -> List[SweepRow]:
     log.info("sweep of %d points, %d trials each", len(points), plan.base.trials)
     for point in points:
         seed = point_seed(plan.base.seed, point)
-        config = _config_for_point(plan.base, point, seed)
+        config = replace(plan.base, seed=seed, **point)
         try:
             (columns, redraws), status = _measure(config, full_fit), "ok"
             log.info(
@@ -380,10 +365,8 @@ def parse_config(
         reference = SystemConfig(
             n_t=settings["n_t"],
             n_r=settings["n_r"],
-            snr_db=defaults["snr_db"],
-            fading=FadingParams(m=defaults["m"], omega=defaults["omega"]),
-            correlation=CorrelationSpec(n=n_side, rho=defaults["rho"], l_band=defaults["l_band"]),
-            mode=mode,
+            side=mode.side,
+            **defaults,
             trials=DEFAULT_TRIALS,
             seed=0,
         )
@@ -406,8 +389,7 @@ def parse_config(
     for name, (lineno, tokens) in sections.items():
         if name not in recipe.axes and name not in recipe.base:
             axes.append((name, _axis_values(name, tokens, reference, allow_extended, lineno)))
-    plan_base = _config_for_point(reference, base, reference.seed)
-    return SweepPlan(base=plan_base, axes=tuple(axes))
+    return SweepPlan(base=replace(reference, **base), axes=tuple(axes))
 
 
 def _parse_document(text):

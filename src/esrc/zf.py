@@ -178,24 +178,6 @@ def _cpu_count():
     return 1
 
 
-def _fork_range(run, chunks, counts, k):
-    """Run run(chunks, 0) in a forked child; returns its pid.
-
-    The child stores the range's redraw count in counts[k] and exits 0.
-    On any exception it exits 1 and reports nothing: the caller runs a
-    range that did not succeed again itself.
-    """
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            counts[k] = run(chunks, 0)
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
-
-
 def monte_carlo_esrc(config):
     """Estimate the ergodic sum-rate capacity by independent channel draws.
 
@@ -233,12 +215,14 @@ def monte_carlo_esrc(config):
     # minor faults, against about 600 with it.
     np.empty(16 * CHUNK_ENTRIES, dtype=np.complex128)
 
+    fading, mode = config.fading, config.mode
+
     def draw(rng, count):
         # a fading power near the float limit gives inf or NaN entries,
         # which zf_sinr reports as a Gram matrix overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            h_w = sample_channel_matrix(n_r, n_t, config.fading, rng, trials=count)
-            h = compose_channel(h_w, sqrt_sigma, config.mode)
+            h_w = sample_channel_matrix(n_r, n_t, fading, rng, trials=count)
+            h = compose_channel(h_w, sqrt_sigma, mode)
         return zf_sinr(h, snr)
 
     chunk_count = -(-trials // step)
@@ -289,7 +273,16 @@ def monte_carlo_esrc(config):
     pids = []
     try:
         for k, chunks in enumerate(ranges[1:], 1):
-            pids.append(_fork_range(run, chunks, counts, k))
+            pid = os.fork()
+            if pid == 0:
+                # the child exits 0 once its count is in counts[k], else 1
+                status = 1
+                try:
+                    counts[k] = run(chunks, 0)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
         redraws = run(ranges[0], 0)
         for k, pid in enumerate(pids, 1):
             _, status = os.waitpid(pid, 0)

@@ -20,10 +20,9 @@ from esrc.analytic import (
     default_capacity_grid,
     esrc_closed_form,
 )
-from esrc.channel import FadingParams, SemiCorrelationMode, sample_nakagami_component
+from esrc.channel import FadingParams, sample_nakagami_component
 from esrc.cli import main
 from esrc.config import SystemConfig
-from esrc.correlation import CorrelationSpec
 from esrc.runner import SweepPlan, run_sweep
 from esrc.specfun import LN2
 from esrc.statfit import fit_gamma_ml
@@ -59,10 +58,12 @@ def _system(snr_db, rho, l_band, m, seed, trials=TRIALS, omega=1.0):
     return SystemConfig(
         n_t=8,
         n_r=8,
+        side="transmit",
         snr_db=snr_db,
-        fading=FadingParams(m=m, omega=omega),
-        correlation=CorrelationSpec(n=8, rho=rho, l_band=l_band),
-        mode=SemiCorrelationMode("transmit"),
+        rho=rho,
+        l_band=l_band,
+        m=m,
+        omega=omega,
         trials=trials,
         seed=seed,
     )

@@ -1,22 +1,26 @@
 """Tests for the system configuration container."""
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from esrc.channel import FadingParams, SemiCorrelationMode
 from esrc.config import SystemConfig
-from esrc.correlation import CorrelationSpec
+from esrc.runner import _point_of
 
 
 def make_config(**overrides):
     base = dict(
         n_t=8,
         n_r=8,
+        side="transmit",
         snr_db=10.0,
-        fading=FadingParams(m=1.0, omega=1.0),
-        correlation=CorrelationSpec(n=8, rho=0.3, l_band=7),
-        mode=SemiCorrelationMode(side="transmit"),
+        rho=0.3,
+        l_band=7,
+        m=1.0,
+        omega=1.0,
         trials=1000,
         seed=42,
     )
@@ -45,27 +49,25 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="n_r >= n_t"):
             make_config(n_r=4)
 
-    def test_rejects_correlation_dim_mismatch(self):
-        with pytest.raises(ValueError, match="transmit side"):
-            make_config(correlation=CorrelationSpec(n=4, rho=0.3, l_band=3))
-
     def test_receive_side_needs_n_r_sized_matrix(self):
-        cfg = make_config(
-            n_t=4,
-            correlation=CorrelationSpec(n=8, rho=0.3, l_band=7),
-            mode=SemiCorrelationMode(side="receive"),
-        )
+        cfg = make_config(n_t=4, side="receive")
         assert cfg.correlation.n == 8
-        with pytest.raises(ValueError, match="receive side"):
-            make_config(
-                n_t=4,
-                correlation=CorrelationSpec(n=4, rho=0.3, l_band=3),
-                mode=SemiCorrelationMode(side="receive"),
-            )
+
+    @given(
+        sizes=st.tuples(st.integers(1, 8), st.integers(1, 8)).map(sorted),
+        side=st.sampled_from(["transmit", "receive"]),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_correlation_is_sized_to_its_side_and_points_round_trip(self, sizes, side):
+        n_t, n_r = sizes
+        n = n_t if side == "transmit" else n_r
+        cfg = make_config(n_t=n_t, n_r=n_r, side=side, l_band=n - 1)
+        assert cfg.correlation.n == n
+        assert replace(cfg, **_point_of(cfg)) == cfg
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            make_config(n_t=0, correlation=CorrelationSpec(n=0, rho=0.0, l_band=0))
+            make_config(n_t=0)
         with pytest.raises(ValueError):
             make_config(trials=0)
 

@@ -22,10 +22,8 @@ import esrc
 import esrc.cli as cli_mod
 import esrc.runner as runner_mod
 import esrc.zf
-from esrc.channel import FadingParams, SemiCorrelationMode
 from esrc.cli import emit_csv, main
 from esrc.config import SystemConfig
-from esrc.correlation import CorrelationSpec
 from esrc.runner import (
     AXIS_ORDER,
     CSV_HEADER,
@@ -319,10 +317,12 @@ class TestSweepPlan:
         return SystemConfig(
             n_t=2,
             n_r=2,
+            side="transmit",
             snr_db=10.0,
-            fading=FadingParams(m=1.0, omega=1.0),
-            correlation=CorrelationSpec(n=2, rho=0.2, l_band=1),
-            mode=SemiCorrelationMode("transmit"),
+            rho=0.2,
+            l_band=1,
+            m=1.0,
+            omega=1.0,
             trials=100,
             seed=0,
         )

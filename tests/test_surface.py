@@ -4,18 +4,21 @@ The benchmark's probe wraps esrc functions by module attribute, and a hook
 that no longer resolves shows only as a "not traced" note in a traced
 benchmark run.  README's Python examples import from the submodules.  Both
 are checked here, so that deleting or moving a name they use fails a test,
-and README's Python examples are run, so that an API change that leaves
-them stale fails one too.
+and README's Python examples are run and its configuration example parsed,
+so that an API change that leaves them stale fails one too.
 """
 
 import ast
 import importlib
 import importlib.util
+import itertools
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from esrc.runner import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBE = ROOT / "perfbench" / "probe.py"
@@ -97,3 +100,13 @@ def test_readme_python_blocks_run():
     for block in blocks:
         done = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+def test_readme_config_example_gives_its_documented_plan():
+    (doc,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    plan = parse_config(doc)
+    points = [(point["snr_db"], point["m"]) for point in plan.points()]
+    assert points == list(itertools.product((0.0, 5.0, 10.0, 15.0, 20.0), (0.7, 2.5)))
+    base = plan.base
+    assert (base.n_t, base.n_r, base.side, base.rho, base.l_band) == (8, 8, "transmit", 0.3, 7)
+    assert (base.trials, base.seed) == (100_000, 42)

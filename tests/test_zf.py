@@ -42,10 +42,12 @@ def make_config(**overrides):
     base = dict(
         n_t=8,
         n_r=8,
+        side="transmit",
         snr_db=10.0,
-        fading=FadingParams(m=1.0, omega=1.0),
-        correlation=CorrelationSpec(n=8, rho=0.0, l_band=7),
-        mode=SemiCorrelationMode(side="transmit"),
+        rho=0.0,
+        l_band=7,
+        m=1.0,
+        omega=1.0,
         trials=1000,
         seed=42,
     )
@@ -177,7 +179,7 @@ class TestMonteCarloEsrc:
         cfg = make_config(
             n_t=1,
             n_r=1,
-            correlation=CorrelationSpec(n=1, rho=0.0, l_band=0),
+            l_band=0,
             trials=100_000,
             seed=7,
         )
@@ -204,9 +206,7 @@ class TestMonteCarloEsrc:
 
     def test_correlation_lowers_capacity(self):
         flat = make_config(trials=20_000, seed=11)
-        corr = make_config(
-            correlation=CorrelationSpec(n=8, rho=0.5, l_band=7), trials=20_000, seed=11
-        )
+        corr = make_config(rho=0.5, trials=20_000, seed=11)
         mc_flat, err_flat, *_ = monte_carlo_esrc(flat)
         mc_corr, err_corr, *_ = monte_carlo_esrc(corr)
         margin = 3.0 * np.hypot(err_flat, err_corr)
@@ -223,7 +223,7 @@ class TestMonteCarloEsrc:
                 assert abs(means[i] - means[j]) < bound, (i, j)
 
     def test_all_samples_positive_finite(self):
-        cfg = make_config(trials=2000, fading=FadingParams(m=0.7, omega=1.0))
+        cfg = make_config(trials=2000, m=0.7)
         *_, samples, _ = monte_carlo_esrc(cfg)
         assert np.all(samples > 0.0)
         assert np.all(np.isfinite(samples))
@@ -254,7 +254,7 @@ class TestMonteCarloEsrc:
             monte_carlo_esrc(cfg)
 
     def test_one_singular_trial_is_redrawn_from_its_own_stream(self, monkeypatch):
-        cfg = make_config(trials=1000, correlation=CorrelationSpec(n=8, rho=0.3, l_band=7))
+        cfg = make_config(trials=1000, rho=0.3)
         step = chunk_trials(8, 8)
         *_, clean, _ = monte_carlo_esrc(cfg)
         real = esrc.zf.zf_sinr
@@ -343,9 +343,10 @@ class TestForkedRanges:
         cfg = make_config(
             n_t=n_t,
             n_r=n_r,
-            fading=FadingParams(m=0.7, omega=1.0),
-            correlation=CorrelationSpec(n=n, rho=0.3, l_band=n - 1),
-            mode=SemiCorrelationMode(side),
+            side=side,
+            rho=0.3,
+            l_band=n - 1,
+            m=0.7,
             trials=trials,
             seed=7,
         )
@@ -494,8 +495,9 @@ class TestForkedRanges:
         cfg = make_config(
             n_t=32,
             n_r=64,
-            correlation=CorrelationSpec(n=64, rho=0.3, l_band=63),
-            mode=SemiCorrelationMode("receive"),
+            side="receive",
+            rho=0.3,
+            l_band=63,
             trials=2500,
         )
         if failure is None:
@@ -596,7 +598,7 @@ class TestChunkedKernel:
 
     def test_fading_power_near_the_float_limit_is_reported_as_overflow(self):
         for omega in (1e307, 1e308):
-            cfg = make_config(trials=20, fading=FadingParams(m=1.0, omega=omega))
+            cfg = make_config(trials=20, omega=omega)
             with pytest.raises(NumericalError, match="overflow"):
                 monte_carlo_esrc(cfg)
 
@@ -646,18 +648,18 @@ class TestChunkedKernel:
             """
             import resource
             import esrc.zf
-            from esrc.channel import FadingParams, SemiCorrelationMode
             from esrc.config import SystemConfig
-            from esrc.correlation import CorrelationSpec
 
             esrc.zf._cpu_count = lambda: 1
             cfg = SystemConfig(
                 n_t=32,
                 n_r=64,
+                side="receive",
                 snr_db=10.0,
-                fading=FadingParams(m=0.7, omega=1.0),
-                correlation=CorrelationSpec(n=64, rho=0.3, l_band=63),
-                mode=SemiCorrelationMode("receive"),
+                rho=0.3,
+                l_band=63,
+                m=0.7,
+                omega=1.0,
                 trials=2500,
                 seed=7,
             )
@@ -694,9 +696,10 @@ class TestChunkedKernel:
             cfg = make_config(
                 n_t=n_t,
                 n_r=n_r,
-                fading=FadingParams(m=m, omega=1.0),
-                correlation=CorrelationSpec(n=n, rho=0.4, l_band=n - 1),
-                mode=SemiCorrelationMode(side),
+                side=side,
+                rho=0.4,
+                l_band=n - 1,
+                m=m,
                 trials=trials,
                 seed=99,
             )
@@ -734,10 +737,11 @@ class TestExactLawOracle:
         band=st.integers(min_value=0, max_value=7),
     )
     def test_transmit_m1_matches_the_exact_law(self, n, rho, band):
-        spec = CorrelationSpec(n=n, rho=rho, l_band=min(band, n - 1))
-        r = build_banded_correlation(spec)
+        cfg = make_config(
+            n_t=n, n_r=n, rho=rho, l_band=min(band, n - 1), trials=self.TRIALS, seed=self.SEED
+        )
+        r = build_banded_correlation(cfg.correlation)
         assume(np.linalg.eigvalsh(r)[0] > 1e-3)
-        cfg = make_config(n_t=n, n_r=n, correlation=spec, trials=self.TRIALS, seed=self.SEED)
         esrc_mc, std_err, samples, _ = monte_carlo_esrc(cfg)
         betas = cfg.snr_linear / np.diagonal(np.linalg.inv(r))
         exact = esrc_closed_form(BetaVector(betas))

@@ -2,8 +2,9 @@
 
 Monte Carlo simulation of semi-correlated complex Nakagami-m fading with
 banded exponential correlation, per-user post-processing SINR distribution
-fitting, and the matching analytic capacity machinery (closed-form mean,
-MGF, and Laplace-inverted sum-capacity densities).  The API lives in the
+fitting, and the matching analytic capacity machinery (the closed-form
+mean, and the sum-capacity density as a convolution of the users' laws).
+The API lives in the
 submodules, such as esrc.config, esrc.zf and esrc.analytic; the package
 itself holds only __version__.
 

@@ -1,20 +1,21 @@
 """Closed-form ergodic sum-rate capacity and the capacity density.
 
 With per-user SINR gamma_k exponentially distributed with scale beta_k
-(the ZF fit with shape pinned at 1), the mean sum capacity in bits/s/Hz
-is sum_k e^{1/beta_k} E_1(1/beta_k) / ln 2, evaluated here entirely in
-the overflow-free scaled form.  The sum-capacity moment generating
-function M(s) factors over users into Tricomi U(1, 2 + s/ln2, 1/beta_k)
-terms, and numerically inverting the matching Laplace transform M(-s)
-gives the capacity density itself.
+(the ZF fit with shape pinned at 1), user k's capacity log2(1 + gamma_k)
+has the law P(C_k <= c) = 1 - exp(-(2^c - 1)/beta_k).  Its mean, summed
+over users, is sum_k e^{1/beta_k} E_1(1/beta_k) / ln 2 bits/s/Hz,
+evaluated here entirely in the overflow-free scaled form.
 
-The density's right tail decays double-exponentially, so its transform
-is entire and grows super-exponentially into the left half-plane, so the
-inversion samples it only on vertical lines in the right half-plane, as
-de Hoog, Knight and Stokes' Fourier series (specfun.invert_laplace) does;
-fixed Talbot contours dive left and diverge on this family.  One user
-reads within 4.5e-9 of the peak of the exact law from beta 1e-2 to the
-largest accepted, about 1.84e25.
+The users are independent, so the sum capacity's density is the
+convolution of their laws.  One user's table is its exact law.  For
+several, each law is binned on a lattice of cells centred on the grid
+(its CDF differences, so no mass is lost), all of them are convolved in
+one FFT product, and Richardson extrapolation over three lattices takes
+the binning error from second to sixth order in the cell.  A user whose
+law is far narrower than the widest acts as a point mass at its mean.
+The tables read within 6e-8 of the peak of the convolution oracle and of
+quadrature on every beta set tried, from beta 1e-6 to 1e18 and up to 64
+users.
 """
 
 from __future__ import annotations
@@ -24,14 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from esrc.specfun import LN2, NumericalError, _log_scaled_gamma, invert_laplace
+from esrc.specfun import LN2, NumericalError, _log_scaled_gamma
 
 GRID_MAX_BITS = 64.0
-# below this the largest node gamma + 2 i M pi/T = gamma + i M pi/t of a point t
-# alone in its window (M = 100), or its order 1 - s/ln2, leaves the float range
-# (near 2.5e-306)
-GRID_MIN_BITS = 1e-305
 _TAIL_MASS = 1e-6
+# a lattice has at least _MIN_CELLS cells and _CELLS_PER_WIDTH per width of
+# the narrowest binned law, up to _MAX_CELLS; users whose law is narrower
+# than _POINT_WIDTH times the widest are point masses at their mean
+_MIN_CELLS = 256
+_CELLS_PER_WIDTH = 4.0
+_MAX_CELLS = 2**16
+_POINT_WIDTH = 3e-4
+# cells of the lattice that bounds P(C <= GRID_MAX_BITS) from above
+_MASS_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -65,31 +71,33 @@ def esrc_closed_form(b):
     """
     total = 0.0
     for log_term in _log_scaled_gamma(0.0, [1.0 / beta for beta in b.betas]):
-        total += math.exp(log_term.real)
+        total += math.exp(log_term)
     return total / LN2
 
 
-def _log_mgf(s, b):
-    """log M(s) summed over users, elementwise on an array of s (complex allowed).
+def _binned_sum(betas, edges):
+    """Law of the users' summed cell indices, each capacity binned on the cells of `edges`.
 
-    User k's factor of M(s) = E[e^{s xi}] is U(1, 2 + s/ln2, 1/beta_k)/beta_k.
+    Cell j is [edges[j], edges[j + 1]), and entry j of the result is the
+    chance that the users' cell indices sum to j.  Each user's masses are
+    differences of its CDF below the median and of its survival function
+    above it, so that neither cancels.  One rfft product, of a power-of-two
+    length at least 4 times the cells, convolves all users, with the masses
+    tilted by e^{-ln(1e4) j/cells} so that the sum's mass past the cells
+    wraps onto them at most 1e-16 of itself.
     """
-    betas = np.array(b.betas)
-    nu = 1.0 + np.asarray(s) / LN2  # U(1, 2 + s/ln2, z) = U(1, nu + 1, z)
-    return np.sum(_log_scaled_gamma(nu, 1.0 / betas), axis=0) - np.sum(np.log(betas))
-
-
-def _density_transform(b):
-    """log L(s) of the capacity density's Laplace transform L(s) = M(-s), on complex s.
-
-    The inversion nodes have large positive real parts, so L is evaluated
-    deep in M's left half-plane, in log space throughout.
-    """
-
-    def transform(s):
-        return _log_mgf(-s, b)
-
-    return transform
+    cells = edges.size - 1
+    length = 1 << (4 * cells - 1).bit_length()
+    tilt = np.exp(-math.log(1e4) / cells * np.arange(cells))
+    spectrum = 1.0
+    values, counts = np.unique(betas, return_counts=True)
+    for beta, count in zip(values.tolist(), counts.tolist()):
+        with np.errstate(over="ignore"):  # an exponent that overflows gives the exact limit
+            growth = np.expm1(LN2 * edges) / beta
+        cdf, sf = -np.expm1(-growth), np.exp(-growth)
+        mass = np.where(cdf[:-1] < 0.5, np.diff(cdf), -np.diff(sf))
+        spectrum = spectrum * np.fft.rfft(mass * tilt, length) ** count
+    return np.fft.irfft(spectrum, length)[:cells] / tilt
 
 
 def default_capacity_grid(b, points=512, grid_max=None):
@@ -124,17 +132,39 @@ def default_capacity_grid(b, points=512, grid_max=None):
     return np.linspace(0.0, upper, int(points) + 1)[1:]
 
 
+def _cubic(values, x):
+    """Cubic Lagrange interpolation of values[0], values[1], ... at the points x >= 0.
+
+    Each point takes the four nodes from floor(x) - 1, moved inward at the ends.
+    """
+    j = np.clip(np.floor(x).astype(int) - 1, 0, values.size - 4)
+    u = x - j
+    return (
+        (u - 1.0) * (u - 2.0) * (u - 3.0) / -6.0 * values[j]
+        + u * (u - 2.0) * (u - 3.0) / 2.0 * values[j + 1]
+        + u * (u - 1.0) * (u - 3.0) / -2.0 * values[j + 2]
+        + u * (u - 1.0) * (u - 2.0) / 6.0 * values[j + 3]
+    )
+
+
 def capacity_pdf(b, grid):
-    """Density of the sum capacity on `grid`, by numerical Laplace inversion."""
+    """Density of the sum capacity on `grid`, ascending in (0, GRID_MAX_BITS].
+
+    One user's table is its exact law.  For several, the lattice step is
+    h = top/(points r), so every point of a default grid is a cell centre;
+    the integer r gives at least _MIN_CELLS cells and _CELLS_PER_WIDTH per
+    width of the narrowest binned law, log2(1 + min(beta, 1)) bits.  The
+    binned density at h, h/2 and h/4 has an error series in h^2 and h^4,
+    which two Richardson steps remove: the table is the h/4 density,
+    cubically interpolated, plus Richardson's correction to it, cubically
+    interpolated on the h lattice, both pinned to 0 at t = 0.  A table is
+    never negative.
+    """
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
         raise ValueError("grid must be a non-empty 1-d array")
     if not (np.all(pts > 0.0) and np.all(np.diff(pts) > 0.0)):
         raise ValueError("grid must be strictly positive and ascending")
-    if pts[0] < GRID_MIN_BITS:
-        raise ValueError(
-            f"grid starts at {pts[0]:.3g} bits, below the supported {GRID_MIN_BITS:g}"
-        )
     if pts[-1] > GRID_MAX_BITS:
         raise ValueError(
             f"grid extends to {pts[-1]:.3g} bits, beyond the supported "
@@ -143,20 +173,44 @@ def capacity_pdf(b, grid):
     # P(C <= 64 bits) is at least the chance that the independent users all
     # stay below 64/N bits.  Where that is below _TAIL_MASS, two upper bounds
     # are taken: the largest-beta user's own P(C_k <= 64 bits), which the sum
-    # exceeds, and the Chernoff bound e^{64 s} M(-s) on a few s > 0.  Below
-    # _TAIL_MASS the inverted density is round-off.  A ratio that overflows
-    # gives the exact limit, mass 1
+    # exceeds, and the same chance with every capacity rounded down to a
+    # multiple of 64/_MASS_CELLS bits.  Below _TAIL_MASS the table would be
+    # round-off.  A ratio that overflows gives the exact limit, mass 1
     betas, log_floor = np.array(b.betas), math.log(_TAIL_MASS)
     with np.errstate(over="ignore", divide="ignore"):
         every = np.sum(np.log(-np.expm1(-np.expm1(LN2 * GRID_MAX_BITS / b.n_users) / betas)))
         largest = np.log(-np.expm1(-np.expm1(LN2 * GRID_MAX_BITS) / betas.max()))
     if every < log_floor:
-        s = 2.0 ** np.arange(-6.0, 6.5, 0.5)
-        chernoff = np.min(s * GRID_MAX_BITS + _log_mgf(-s, b).real)
-        if min(largest, chernoff) < log_floor:
+        edges = np.arange(_MASS_CELLS + 2) * (GRID_MAX_BITS / _MASS_CELLS)
+        if largest < log_floor or np.sum(_binned_sum(betas, edges)) < _TAIL_MASS:
             raise ValueError(
                 f"{b.n_users}-user betas up to {betas.max():.3g} leave less than "
                 f"{_TAIL_MASS:g} of the capacity mass below the supported "
                 f"{GRID_MAX_BITS:.0f} bits"
             )
-    return invert_laplace(_density_transform(b), pts)
+    width = np.log1p(np.minimum(betas, 1.0)) / LN2
+    point = width < _POINT_WIDTH * width.max()
+    t = pts - (esrc_closed_form(BetaVector(betas[point])) if point.any() else 0.0)
+    betas, width = betas[~point], width[~point]
+    if betas.size == 1:
+        with np.errstate(over="ignore"):
+            law = np.exp(math.log(LN2 / betas[0]) + LN2 * t - np.expm1(LN2 * t) / betas[0])
+        return np.where(t > 0.0, law, 0.0)
+    with np.errstate(over="ignore"):
+        need = np.clip(np.ceil(_CELLS_PER_WIDTH * pts[-1] / width.min()), _MIN_CELLS, _MAX_CELLS)
+    cells = pts.size * -(-int(need) // pts.size)
+    # a step far above the subnormals, so that no density over it overflows
+    h = max(pts[-1] / cells, 2.0**-1000)
+    tables = []
+    for split in (1, 2, 4):
+        edges = (np.arange(cells * split + 2) - 0.5) * (h / split)
+        edges[0] = 0.0
+        tables.append(split * _binned_sum(betas, edges))
+    coarse, mid, fine = tables
+    # Richardson's correction to the finest lattice, on the coarsest
+    correction = (coarse - 20.0 * mid[::2] + 19.0 * fine[::4]) / 45.0
+    # the density of two or more users is 0 at t = 0
+    fine[0] = correction[0] = 0.0
+    x = np.maximum(t, 0.0) / h
+    out = (_cubic(fine, 4.0 * x) + _cubic(correction, x)) / h
+    return np.maximum(out, 0.0)

@@ -4,23 +4,23 @@ The quadrature of the per-user capacity, the Gompertz-Makeham density,
 the Nakagami component density and the ZF SINR's second moment are
 independent of the code under test.
 upper_incomplete_gamma and tricomi_u1 are real-argument views of the
-special-function engine, so its properties can be checked against
-scipy.special and quadrature over the domains they promise.
+special-function engine at the orders it serves (nu <= 0), so its
+properties can be checked against scipy.special and quadrature over the
+domains they promise.
 
-sum_capacity_mgf and mgf_mean_check are the gated capacity MGF and the
-central difference of it at the origin, which reproduces the closed-form
-mean; exp_scaled_e1 is e^x E_1(x) from the engine at nu = 0.  None of the
-three is on a production path, so they live here with the checks that
-call them.
+sum_capacity_mgf and mgf_mean_check are the gated capacity MGF, taken
+from the scalar engine below, and the central difference of it at the
+origin, which reproduces the closed-form mean; exp_scaled_e1 is
+e^x E_1(x) from the engine at nu = 0.  None of the three is on a
+production path, so they live here with the checks that call them.
 
-scalar_log_scaled_gamma and scalar_density_transform are the scalar
-engine and capacity transform that the array versions in esrc replaced,
-kept as the reference the array results are compared with: one (nu, z)
-pair and one node at a time.  scalar_invert_laplace is the Abate-Whitt
-Euler inversion that esrc used before its shared-node de Hoog inversion,
-one grid point at a time with its own constants, so it stays a reference
-independent of the code under test; its error on one user is about 1e-8
-of the peak up to beta 1e2 and grows past that.
+scalar_log_scaled_gamma and scalar_density_transform are a scalar
+complex-order engine and the capacity transform, one (nu, z) pair and
+one node at a time.  scalar_invert_laplace is the Abate-Whitt Euler
+inversion, one grid point at a time with its own constants.  Together
+they are the MGF route to the density, independent of the binned
+convolution esrc computes; the Euler error on one user is about 1e-8 of
+the peak up to beta 1e2 and grows past that.
 
 The scalar engine picks the Kummer split when |Im nu| or Re nu reach
 2(z + 1), or when Re nu > max(z - 1, 0) and |nu| >= 1/2; otherwise the
@@ -43,8 +43,7 @@ from scipy.special import gammaln, xlogy
 from scipy.special import loggamma as _cx_loggamma
 
 from esrc import specfun
-from esrc.analytic import _log_mgf
-from esrc.specfun import LN2, LaplaceInversionError, NumericalError, _log_scaled_gamma
+from esrc.specfun import LN2, NumericalError, _log_scaled_gamma
 
 _MGF_STEP = 1e-4
 # Abate-Whitt Euler summation (INFORMS J. Computing 18(4), 2006): transform
@@ -81,26 +80,27 @@ def per_user_capacity_quadrature(beta, order=1):
 def upper_incomplete_gamma(s, x):
     """Upper incomplete gamma Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt.
 
-    Supports any real order s > -20 (negative and zero included) and
-    x > 0.  Relative accuracy is at the 1e-12 level over x in
-    [1e-6, 700] for moderate orders.
+    Supports real orders -20 < s <= 0 and x > 0.  Relative accuracy is at
+    the 1e-12 level over x in [1e-6, 700].
     """
     s = float(s)
     x = float(x)
     if not x > 0.0 or math.isinf(x):
         raise ValueError(f"upper_incomplete_gamma requires finite x > 0, got {x!r}")
-    if not s > -20.0:
-        raise ValueError(f"order s must exceed -20, got {s!r}")
-    return math.exp(_log_scaled_gamma(s, x).real + s * math.log(x) - x)
+    if not -20.0 < s <= 0.0:
+        raise ValueError(f"order s must lie in (-20, 0], got {s!r}")
+    return math.exp(_log_scaled_gamma(s, x) + s * math.log(x) - x)
 
 
 def tricomi_u1(b, z):
-    """Tricomi U(1, b, z) = e^z z^{1-b} Gamma(b - 1, z) for real b, z > 0."""
+    """Tricomi U(1, b, z) = e^z z^{1-b} Gamma(b - 1, z) for real b <= 1, z > 0."""
     b = float(b)
     z = float(z)
     if not z > 0.0 or math.isinf(z):
         raise ValueError(f"tricomi_u1 requires finite z > 0, got {z!r}")
-    return math.exp(_log_scaled_gamma(b - 1.0, z).real)
+    if not b <= 1.0:
+        raise ValueError(f"tricomi_u1 requires b <= 1, got {b!r}")
+    return math.exp(_log_scaled_gamma(b - 1.0, z))
 
 
 def gm_pdf(x, lam, kappa):
@@ -193,10 +193,10 @@ def sum_capacity_mgf(s, b):
         raise ValueError(
             f"s={s!r} lies left of the convergence boundary Re(s) >= -ln 2"
         )
-    value = np.exp(_log_mgf(s_complex, b))
+    value = cmath.exp(scalar_log_mgf(s_complex, b))
     if isinstance(s, complex):
-        return complex(value)
-    return float(value.real)
+        return value
+    return value.real
 
 
 def mgf_mean_check(b):
@@ -219,7 +219,7 @@ def exp_scaled_e1(x):
         # the engine's kernel here, without the round trip through the log,
         # which costs up to |log x| ulps
         return float(specfun._gamma_cf(np.zeros(1), np.array([x]))[0])
-    return math.exp(_log_scaled_gamma(0.0, x).real)
+    return math.exp(_log_scaled_gamma(0.0, x))
 
 
 # --- the scalar engine and inversion, verbatim ---------------------------------
@@ -349,7 +349,7 @@ def scalar_log_scaled_gamma(nu, z):
 
 def _check_node(value, node, point):
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise LaplaceInversionError(
+        raise NumericalError(
             f"transform returned a non-finite value at node {node!r} (t={point!r})"
         )
     return value

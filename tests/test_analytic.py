@@ -1,4 +1,4 @@
-"""Tests for the closed-form capacity, its MGF, and the inverted density."""
+"""Tests for the closed-form capacity, its MGF, and the capacity density."""
 
 import math
 import tracemalloc
@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
-from esrc import analytic
 from esrc.analytic import (
     GRID_MAX_BITS,
     BetaVector,
-    _density_transform,
     capacity_pdf,
     default_capacity_grid,
     esrc_closed_form,
 )
-from esrc.specfun import LN2, NumericalError, invert_laplace
+from esrc.specfun import LN2, NumericalError
 from oracles import (
     convolution_pdf,
     gm_pdf,
@@ -27,7 +25,6 @@ from oracles import (
     per_user_capacity_quadrature,
     scalar_density_transform,
     scalar_invert_laplace,
-    scalar_log_mgf,
     sum_capacity_mgf,
 )
 
@@ -258,8 +255,8 @@ class TestCapacityPdf:
 
     def test_single_user_default_table_accuracy(self):
         # the default 512-point table against the exact density
-        # ln2 2^t / beta exp(-(2^t - 1)/beta); the worst error on this grid
-        # is 1.3e-10 of the peak (1.02e-8 with the Euler sum's 56 nodes)
+        # ln2 2^t / beta exp(-(2^t - 1)/beta); one user's table is that law,
+        # so only round-off is left
         for beta in np.logspace(-2.0, 2.0, 17):
             b = BetaVector([beta])
             grid = default_capacity_grid(b)
@@ -271,8 +268,7 @@ class TestCapacityPdf:
         # the stated accuracy of a table: within 1e-6 of its peak, here for
         # one user against the exact law, ten betas a decade from 1e-2 to
         # the largest that capacity_pdf accepts (about 1.84e25), each on
-        # its default 512-point grid.  The worst reads 4.5e-9, at 1.3e18; the
-        # Euler sum read 7e-7 at 1e4, 3e-4 at 1e8 and 0.55 at 1e24
+        # its default 512-point grid.  The worst reads 1.3e-14, at 1.3e-2
         largest = np.expm1(LN2 * GRID_MAX_BITS) / -np.log1p(-1e-6) * (1.0 - 1e-12)
         worst = 0.0
         for beta in np.geomspace(1e-2, largest, 275):
@@ -283,36 +279,13 @@ class TestCapacityPdf:
             worst = max(worst, error)
         assert worst <= 1e-6
 
-    def test_nodes_do_not_grow_with_the_grid(self, monkeypatch):
-        # one transform call per table, on nodes shared by each window of
-        # the grid: the Euler sum took 56 per point, 2,240 at 40 points and
-        # 28,672 at 512
-        counts = []
-        factory = analytic._density_transform
-
-        def counting(b):
-            transform = factory(b)
-
-            def counted(s):
-                counts.append(np.size(s))
-                return transform(s)
-
-            return counted
-
-        monkeypatch.setattr(analytic, "_density_transform", counting)
-        b = BetaVector(BETAS_10DB)
-        for points, most in ((40, 500), (512, 1000)):
-            counts.clear()
-            capacity_pdf(b, default_capacity_grid(b, points=points))
-            assert len(counts) == 1 and counts[0] <= most, points
-
     def test_ten_db_tables_against_the_convolution_oracle(self):
         # the stated accuracy, 1e-6 of the peak, for several users on the
         # benchmark's 10 dB betas and default grids.  Both tables read
-        # 7.4e-9 against the oracle at step 5e-4, which moves by 5.5e-9 of
-        # the peak when the step halves.  32 users of beta 8.5 sit near the
-        # Chernoff limit, with 7e-4 of their mass below 64 bits; their table
-        # reads 9.1e-8 (2.3e-8 against the oracle at step 2.5e-4)
+        # 7.4e-9 against the oracle at step 5e-4, and 1.8e-9 at step 2.5e-4:
+        # the oracle's own error.  32 users of beta 8.5 sit near the mass
+        # limit, with 7e-4 of their mass below 64 bits; their table reads
+        # 9.1e-8 (2.3e-8 against the oracle at step 2.5e-4)
         for betas, points in ((BETAS_10DB, 40), (BETAS_10DB, 512), ((8.5,) * 32, 40)):
             b = BetaVector(betas)
             grid = default_capacity_grid(b, points=points)
@@ -331,6 +304,13 @@ class TestCapacityPdf:
             (1e4, 1.0),
             (0.01, 0.01),
             (0.2,) * 64,
+            (1e6,) * 3,
+            (1e10,) * 2,
+            (1e5,) * 4,
+            (1e12, 1e3),
+            (1e7,) * 2,
+            (1e18, 1.0),
+            (3e4,) * 5,
         ],
     )
     def test_spread_tables_against_the_convolution_oracle(self, betas):
@@ -338,10 +318,11 @@ class TestCapacityPdf:
         # oracle's own error at a fixed step of 5e-4 reads 8.0e-6 of the peak
         # for eight users of beta 0.05, so it runs at steps h = top/2e4 and
         # h/2 and their Richardson value is used.  The worst table reads
-        # 2.4e-7, (0.01, 0.01) at 512 points; the others read at most 1.3e-7.
-        # Those are the oracle's interpolation between cells: on cells of
-        # grid[0]/40, which hold every point of the 512-point grids, every
-        # table reads at most 4.3e-10 (64 users of beta 0.2)
+        # 2.4e-7, (0.01, 0.01) at 512 points; the others read at most 1.9e-7,
+        # (1e18, 1) at 512 points.  Those are the oracle's interpolation
+        # between cells: on the 40-point grids, whose points are its cell
+        # centres, every table reads at most 6.1e-8 (64 users of beta 0.2).
+        # The sets past beta 1e4 read at most 4.0e-10 there
         b = BetaVector(betas)
         for points in (40, 512):
             grid = default_capacity_grid(b, points=points)
@@ -385,19 +366,53 @@ class TestCapacityPdf:
         assert got[0] == pytest.approx(LN2 / 2.0, rel=1e-6)
 
     def test_tiny_points_match_the_closed_form(self):
-        # t = 10^-e, e = 1, 4, ..., 304, each point a window of its own: the
-        # real node's order nu = 1 - gamma/ln 2 reaches -1.3e305 and the
-        # complex ones |nu| of 4.5e306
+        # t = 10^-e, e = 1, 4, ..., 304, where 2^t - 1 is t ln 2 to the last bit
         grid = 10.0 ** -np.arange(304, 0, -3)
         got = capacity_pdf(BetaVector([2.0]), grid)
         np.testing.assert_allclose(got, gm_pdf(grid, LN2, 0.5), rtol=1e-6, atol=0.0)
 
+    def test_tables_stay_finite_down_to_the_smallest_float(self):
+        # one and two users on grids from 5e-324 bits up, where top/cells is
+        # subnormal or 0
+        grids = ([5e-324], [5e-324, 1e-310], [5e-324, 1e-300], np.linspace(0.125, 1.0, 8))
+        for grid in map(np.array, grids):
+            for betas in ([2.0], [2.0, 2.0], [1e-308, 1e-308]):
+                dens = capacity_pdf(BetaVector(betas), grid)
+                assert np.all(np.isfinite(dens) & (dens >= 0.0)), (grid, betas)
+        got = capacity_pdf(BetaVector([2.0]), np.array([5e-324]))
+        assert got[0] == pytest.approx(LN2 / 2.0, rel=1e-12)
+
+    def test_tables_are_never_negative(self):
+        # tails and explicit grids where the law is round-off or 0
+        for betas, grid_max in (([1e-308, 2.0], None), ([1e-6], 8.0), ([1e-6, 1e-6], 8.0)):
+            b = BetaVector(betas)
+            dens = capacity_pdf(b, default_capacity_grid(b, points=8, grid_max=grid_max))
+            assert np.all(dens >= 0.0), betas
+
+    @pytest.mark.parametrize("betas", [(1e-5, 1.0), (1e-4, 1e8), (4e-4, 1e8)])
+    def test_narrow_users_against_quadrature(self, betas):
+        # the first two are point masses at their mean next to the wide user
+        # (5.9e-11 and 6.2e-9 of the peak); the third is binned on the
+        # largest lattice, 2^16 cells, where its law spans 0.6 cells (2.3e-9)
+        b = BetaVector(betas)
+        grid = default_capacity_grid(b, points=40)
+        narrow, wide = betas
+
+        def law(c, beta):
+            return gm_pdf(max(c, 0.0), LN2, 1.0 / beta)
+
+        ref = np.array([
+            quad(lambda s: law(s, narrow) * law(t - s, wide), 0.0, t,
+                 points=[p for p in (1e2 * narrow, 1e3 * narrow) if p < t] or None,
+                 limit=500, epsabs=0.0, epsrel=1e-12)[0]
+            for t in grid
+        ])
+        dens = capacity_pdf(b, grid)
+        assert np.max(np.abs(dens - ref)) <= 1e-7 * np.max(ref)
+
     @pytest.mark.parametrize("beta", [8.0, 0.01, 1e-3])
     def test_one_user_long_grid_peaks_below_20_mb(self, beta):
-        # each block's per-node arrays are counted: sized by (user, node)
-        # pairs alone, one user's 8,192 points peaked at 70 MB in one call.
-        # At beta 0.01 and 1e-3 thousands of orders take the continued
-        # fraction (z = 100 and 1000), whose level terms are held in blocks
+        # one user's table is its exact law: a few arrays the size of the grid
         b = BetaVector([beta])
         grid = np.linspace(0.01, 40.0, 8192)
         tracemalloc.start()
@@ -412,9 +427,6 @@ class TestCapacityPdf:
         b = BetaVector([1.0])
         with pytest.raises(ValueError):
             capacity_pdf(b, np.array([0.0, 1.0]))
-        # the nodes of t = 1e-307 overflow
-        with pytest.raises(ValueError, match="below the supported 1e-305"):
-            capacity_pdf(b, np.array([1e-307, 1.0]))
         with pytest.raises(ValueError):
             capacity_pdf(b, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
@@ -424,9 +436,9 @@ class TestCapacityPdf:
 
     def test_rejects_betas_with_no_mass_below_the_cap(self):
         # P(C <= 64 bits) <= 1 - exp(-(2^64 - 1)/beta), below 1e-6 past 1.8e25;
-        # for many users of beta 8.5 that reads 1, and Chernoff's
-        # e^{64 s} M(-s) bounds it instead: log10 -6.9 for 40 users and
-        # -2.2 for 32
+        # for many users of beta 8.5 that reads 1, and the same chance with
+        # every capacity rounded down to a multiple of 1/16 bit bounds it
+        # instead: log10 -7.6 for 40 users and -3.0 for 32
         grid = np.linspace(1.0, 8.0, 8)
         for betas in ([1e300], [1.0, 1e26], [8.5] * 40):
             with pytest.raises(ValueError, match="less than 1e-06 of the capacity mass"):
@@ -436,30 +448,16 @@ class TestCapacityPdf:
 
 
 def _check_against_scalar_engine(b, grid):
-    """The array transform against the scalar engine, the density against oracles.
+    """The density against the exact law, the scalar engine's Euler inversion and convolution.
 
-    At every node the inversion asks for, the array transform's log L
-    agrees with the scalar engine it replaced to 1e-12 relative.  One
-    user's density is held to the exact law, within 1e-8 of the peak.
+    One user's density is held to the exact law, within 1e-8 of the peak.
     Several users' density is held to the convolution oracle, within that
     oracle's change between steps 2h and h, which is about three times its
     own error; where every beta is at most 1e2 it is also held to the
-    scalar Euler inversion, within 3e-8 of the peak, about three times
-    Euler's own error there.
+    scalar engine's Euler inversion of the MGF, within 3e-8 of the peak,
+    about three times Euler's own error there.
     """
-    asked, answered = [], []
-    transform = _density_transform(b)
-
-    def record(s):
-        asked.append(s)
-        answered.append(transform(s))
-        return answered[-1]
-
-    dens = invert_laplace(record, grid)
-    nodes = asked[0]
-    ref = np.array([scalar_log_mgf(-s, b) for s in nodes.ravel()]).reshape(nodes.shape)
-    assert np.max(np.abs(np.exp(answered[0] - ref) - 1.0)) <= 1e-12
-    assert np.array_equal(dens, capacity_pdf(b, grid))
+    dens = capacity_pdf(b, grid)
     if b.n_users == 1:
         exact = gm_pdf(grid, LN2, 1.0 / b.betas[0])
         assert np.max(np.abs(dens - exact)) <= 1e-8 * np.max(exact)

@@ -56,10 +56,10 @@ def test_run_csv_bytes(tmp_path, preset, extra, digest):
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--points", "40"], "327fbc3f2ea58ca0f1238c1230afbdee7d017c7d3c07263c58ef1286d565fa94"),
+        (["--points", "40"], "1e03bd40e8ffb5a35d648b6ff3d8d0244c97e4d8481ed49f405f1c15c8d3227c"),
         (
             ["--grid-max", "8", "--points", "64"],
-            "73094df7f9e55e58297eb33668932870853d55335f77b14dddab12257c26e707",
+            "79ca79acfc0407516f24f082982f7270e7dc9d73e6dedf3d041aacfb57b5dcd2",
         ),
     ],
 )

@@ -53,6 +53,10 @@ _STIRLING = (
 _STIRLING_MIN = 7.0
 
 
+# the kernels' logarithm: numpy's, on the principal branch for complex input
+_log = np.log
+
+
 class NumericalError(ArithmeticError):
     """A series or continued fraction failed to converge, or a result overflowed."""
 
@@ -232,9 +236,9 @@ def _log_scaled_gamma(nu, z):
         np.concatenate([x[fraction], np.ones(orders.size)]),
     )
     out = np.empty(shape)
-    out[fraction] = np.log(cf[:n_fraction])
+    out[fraction] = _log(cf[:n_fraction])
     anchor_cf = cf[n_fraction:][order_of]
-    out[anchor] = x[anchor] + np.log(_anchor_series(v[anchor], x[anchor], anchor_cf))
+    out[anchor] = x[anchor] + _log(_anchor_series(v[anchor], x[anchor], anchor_cf))
     return out.reshape(zs.shape + nu.shape)
 
 

@@ -5,8 +5,10 @@ shown next to them (adaptive quadrature or recurrence constructions that
 never call the code under test) and then pinned as literals.
 """
 
+import cmath
 import hashlib
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,6 +25,7 @@ from esrc.specfun import (
     NumericalError,
     _gamma_cdf,
     _gamma_cf,
+    _log,
     _log_scaled_gamma,
     _lower_series,
 )
@@ -280,6 +283,58 @@ def test_gamma_capacity_sum_against_quadrature():
         for order in range(1, 34):
             ref = LN2 * per_user_capacity_quadrature(beta, order)
             assert abs(capacity[row, order - 1] / ref - 1.0) <= 1e-12, (beta, order)
+
+
+# every complex number with a zero, infinite or NaN part from these
+LOG_PARTS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan)
+SPECIAL_LOGS = [
+    complex(re, im) for re in LOG_PARTS for im in LOG_PARTS if abs(re) != 1.0 or abs(im) != 1.0
+]
+
+
+class TestLog:
+    # magnitudes 1e-300..1e300 at angles in all four quadrants, the
+    # negative real axis with either sign of zero, and both axes
+    MAGNITUDES = np.logspace(-300.0, 300.0, 61)
+    ANGLES = np.linspace(-math.pi, math.pi, 49)[1:-1]
+
+    def test_matches_cmath_on_the_principal_branch(self):
+        r = self.MAGNITUDES[:, None]
+        z = np.concatenate([
+            (r * np.exp(1j * self.ANGLES)).ravel(),
+            self.MAGNITUDES + 0j,
+            self.MAGNITUDES * 1j,
+            -self.MAGNITUDES * 1j,
+            [complex(-x, 0.0) for x in self.MAGNITUDES],
+            [complex(-x, -0.0) for x in self.MAGNITUDES],
+        ])
+        got = _log(z)
+        for value, log in zip(z, got):
+            ref = cmath.log(value)
+            assert abs(log - ref) <= 2e-15 * max(1.0, abs(ref)), value
+        assert np.all(got[-self.MAGNITUDES.size :].imag == -math.pi)
+        assert np.all(got[-2 * self.MAGNITUDES.size : -self.MAGNITUDES.size].imag == math.pi)
+
+    @pytest.mark.parametrize("value", SPECIAL_LOGS, ids=repr)
+    def test_zeros_infinities_and_nans_match_numpy(self, value):
+        z = np.array([value])
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            got = _log(z)
+        with warnings.catch_warnings(record=True) as numpy:
+            warnings.simplefilter("always")
+            ref = np.log(z)
+        for part, ref_part in ((got.real, ref.real), (got.imag, ref.imag)):
+            assert np.array_equal(part, ref_part, equal_nan=True)
+            assert np.signbit(part) == np.signbit(ref_part) or np.isnan(ref_part)
+        assert [(w.category, str(w.message)) for w in ours] == [
+            (w.category, str(w.message)) for w in numpy
+        ]
+
+    def test_real_arrays_keep_numpy_bits(self):
+        x = np.logspace(-300.0, 300.0, 601)
+        assert not np.iscomplexobj(_log(x))
+        assert np.array_equal(_log(x), np.log(x))
 
 
 class TestGmPdf:

@@ -12,7 +12,9 @@ from scipy.signal import fftconvolve
 
 from esrc.analytic import (
     GRID_MAX_BITS,
+    _MAX_CELLS,
     BetaVector,
+    _fast_length,
     capacity_pdf,
     default_capacity_grid,
     esrc_closed_form,
@@ -423,6 +425,20 @@ class TestCapacityPdf:
             tracemalloc.stop()
         assert peak <= 20e6
 
+    def test_narrow_and_wide_users_peak_below_48_mb(self):
+        # the narrow user's width asks for the 2^16-cell cap, so the finest
+        # lattice takes a transform of about a million points; the bound sits
+        # between its 5-smooth lengths (42 MB) and the next powers of two (64.6 MB)
+        b = BetaVector([1e-3, 1e8])
+        grid = default_capacity_grid(b, points=40)
+        tracemalloc.start()
+        try:
+            capacity_pdf(b, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48e6
+
     def test_rejects_bad_grids(self):
         b = BetaVector([1.0])
         with pytest.raises(ValueError):
@@ -445,6 +461,20 @@ class TestCapacityPdf:
                 capacity_pdf(BetaVector(betas), grid)
         for betas in ([1e25], [8.5] * 32):
             assert np.all(np.isfinite(capacity_pdf(BetaVector(betas), grid)))
+
+
+def test_fast_length_is_the_least_5_smooth_length():
+    smooth = sorted(
+        2**a * 3**b * 5**c for a in range(24) for b in range(15) for c in range(11)
+        if 2**a * 3**b * 5**c <= 2**23
+    )
+    # every lattice at the cell cap: cells * split + 1 cells for up to 512 points
+    cap = [4 * (cells * split + 1) for cells in range(_MAX_CELLS, _MAX_CELLS + 512)
+           for split in (1, 2, 4)]
+    for n in [*range(1, 20001), *cap]:
+        length = _fast_length(n)
+        assert length == smooth[np.searchsorted(smooth, n)], n
+        assert n <= length <= 1 << (n - 1).bit_length(), n
 
 
 def _check_against_scalar_engine(b, grid):

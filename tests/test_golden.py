@@ -56,10 +56,10 @@ def test_run_csv_bytes(tmp_path, preset, extra, digest):
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--points", "40"], "1e03bd40e8ffb5a35d648b6ff3d8d0244c97e4d8481ed49f405f1c15c8d3227c"),
+        (["--points", "40"], "302ad10ffe65ed418547cb5cf74fd8d6ab64865904db8dcaf303bd0125003dc3"),
         (
             ["--grid-max", "8", "--points", "64"],
-            "79ca79acfc0407516f24f082982f7270e7dc9d73e6dedf3d041aacfb57b5dcd2",
+            "4833ad2942186186fd75a7ee20a460182f44922586ef28a7809c628d14ba8d52",
         ),
     ],
 )
